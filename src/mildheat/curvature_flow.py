@@ -11,7 +11,7 @@ domain-of-influence buffer of 8 sqrt(T) so wall effects are below tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -167,6 +167,7 @@ def flow_profile_error(
     )
     snaps = solve_cf(u0, run_cfg)
     xs = run_cfg.nodes()
+    zs = np.linspace(-L, L, n)
     out = []
     for t, snap in zip(ladder, snaps):
         st = math.sqrt(t)
@@ -175,8 +176,7 @@ def flow_profile_error(
                 f"similarity window sqrt({t:g})*{L:g} reaches into the "
                 f"boundary buffer; enlarge half_width"
             )
-        zs = np.linspace(-L, L, n)
         vals = CubicSpline(xs, snap.values)(st * zs)
-        prof = np.array([two_sided_profile(u0, float(z), t) for z in zs])
+        prof = two_sided_profile(u0, zs, t)
         out.append((t, float(np.max(np.abs(vals - prof)))))
     return out

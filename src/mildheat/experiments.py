@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+import tempfile
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import curvature_flow, initial_data, profile_bounds, semigroup
 from .curvature_flow import FDSolverConfig, SolverFailure
-from .kernels import QuadratureSpec
+from .kernels import QuadratureSpec, UncertifiedQuadrature
 
 KINDS = (
     "exact-step",
@@ -186,11 +187,29 @@ def _fmt(v: float) -> str:
     return f"{v:.12e}"
 
 
+def _umask() -> int:
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write(path: str, content: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+    """Write content to path through a private temporary file in the same
+    directory, so concurrent writers never share or expose a partial file.
+    The file gets the mode a plain open() would give it."""
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
+            fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -250,7 +269,8 @@ def _slug(datum_id: str) -> str:
 
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute one experiment; exit code 0 pass, 1 assertion failure,
-    2 configuration error, 3 solver failure."""
+    2 configuration error, 3 solver failure (an FD instability or a
+    quadrature that could not certify its tolerance)."""
     try:
         u0 = initial_data.from_id(cfg.datum_id)
     except ValueError as exc:
@@ -262,7 +282,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
         ok, scalars, files = handler(cfg, u0, base)
     except (ConfigError, ValueError) as exc:
         return RunResult(2, [], {}, f"config-error: {exc}")
-    except SolverFailure as exc:
+    except (SolverFailure, UncertifiedQuadrature) as exc:
         return RunResult(3, [], {}, f"solver-failure: {exc}")
     summary = {
         "kind": cfg.kind,

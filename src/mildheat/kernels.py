@@ -3,13 +3,15 @@ kernel, and the shifted-Gaussian envelope, all with certified quadrature.
 
 Every integral in the package goes through :func:`adaptive_simpson` (interval
 bisection with a Richardson error estimate) so evaluation error is bounded by
-an explicit absolute tolerance.  All functions here are pure and thread-safe.
+an explicit absolute tolerance.  A quadrature that exhausts its budget before
+the estimate meets the tolerance raises :class:`UncertifiedQuadrature` rather
+than return an uncertified value.  All functions here are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from scipy.special import erf as _erf
@@ -28,7 +30,6 @@ class QuadratureSpec:
 
     abs_tol: float = 1e-10
     tail_radius: float = 14.0
-    max_panels: int = 4096
     singularity_splits: tuple[float, ...] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
@@ -40,11 +41,14 @@ class QuadratureSpec:
                 f"tail_radius {self.tail_radius} too small for abs_tol "
                 f"{self.abs_tol}: need at least {min_radius:.3f}"
             )
-        if self.max_panels < 2:
-            raise ValueError(f"max_panels must be >= 2, got {self.max_panels}")
 
 
 DEFAULT_SPEC = QuadratureSpec()
+
+
+class UncertifiedQuadrature(RuntimeError):
+    """Raised when a quadrature runs out of refinement budget before its
+    Richardson estimate meets the tolerance."""
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
@@ -71,8 +75,13 @@ def _adapt(
     left = _simpson(fa, flm, fm, m - a)
     right = _simpson(fm, frm, fb, b - m)
     delta = left + right - whole
-    if depth <= 0 or (force <= 0 and abs(delta) <= 15.0 * tol):
+    if abs(delta) <= 15.0 * tol and (force <= 0 or depth <= 0):
         return left + right + delta / 15.0
+    if depth <= 0:
+        raise UncertifiedQuadrature(
+            f"adaptive Simpson reached its depth limit on [{a!r}, {b!r}] with "
+            f"estimate {abs(delta) / 15.0:.3g} above the share {tol:.3g}"
+        )
     half = 0.5 * tol
     return _adapt(
         f, a, m, fa, flm, fm, left, half, depth - 1, force - 1
@@ -92,7 +101,9 @@ def adaptive_simpson(
     Bisects until the local Richardson estimate |S2 - S1|/15 is below the
     (recursively halved) tolerance share of the subinterval.  The first
     min_depth levels always bisect, so narrow features cannot slip between
-    the nodes of a coarse first estimate and fake convergence.
+    the nodes of a coarse first estimate and fake convergence.  Raises
+    UncertifiedQuadrature if a subinterval still misses its share after
+    max_depth bisections.
     """
     if a == b:
         return 0.0

@@ -10,13 +10,13 @@ integral, the dilation-difference estimate, and the log-kernel bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .initial_data import InitialDatum
 from .kernels import DEFAULT_SPEC, SQRT_PI, QuadratureSpec, envelope_rho, kernel_G, profile_F
-from .semigroup import _positive_interval, scaled_evolve, scaled_evolve_many
+from .semigroup import _one_sided, _positive_interval, scaled_evolve, scaled_evolve_many
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class ProfileErrorReport:
             raise ValueError("sup_error must be nonnegative")
 
 
-def two_sided_profile(u0: InitialDatum, x: float, t: float) -> float:
-    """F(-x) u0(-sqrt(t)) + F(+x) u0(+sqrt(t))."""
+def two_sided_profile(u0: InitialDatum, x, t: float):
+    """F(-x) u0(-sqrt(t)) + F(+x) u0(+sqrt(t)); x may be a scalar or an array."""
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     st = math.sqrt(t)
@@ -105,7 +105,8 @@ def envelope_bound(
 
     def g(z: float) -> float:
         return envelope_rho(L, z) * (
-            abs(float(u0.eval(-st * z)) - a) + abs(float(u0.eval(st * z)) - b)
+            abs(float(_one_sided(u0, -1.0, st * z)) - a)
+            + abs(float(_one_sided(u0, 1.0, st * z)) - b)
         )
 
     bound = 2.0 * u0.sup_norm + abs(a) + abs(b)

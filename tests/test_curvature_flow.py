@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from mildheat.curvature_flow import (
     FDSolverConfig,
@@ -17,6 +19,7 @@ from mildheat.initial_data import (
     make_smooth_log_sine,
     make_step,
 )
+from mildheat.profile_bounds import two_sided_profile
 
 
 def _cfg(**kw):
@@ -128,6 +131,21 @@ class TestFlowProfileError:
         errs = flow_profile_error(u, cfg, 4.0, (1.0, 4.0), n=101)
         assert len(errs) == 2
         assert all(0.0 <= e < 2.0 for _, e in errs)
+
+    def test_profile_equals_pointwise_two_sided_profile(self):
+        # the reference profile is built on the whole grid at once and must
+        # equal the per-point two_sided_profile values exactly
+        u = make_smooth_log_sine(0.5)
+        cfg = _cfg(half_width=40.0, dx=0.2, t_final=4.0, record_times=(4.0,))
+        ladder = (1.0, 4.0)
+        zs = np.linspace(-4.0, 4.0, 101)
+        errs = flow_profile_error(u, cfg, 4.0, ladder, n=101)
+        snaps = solve_cf(u, dataclasses.replace(cfg, record_times=ladder))
+        for (t, err), snap in zip(errs, snaps):
+            prof = np.array([two_sided_profile(u, float(z), t) for z in zs])
+            assert np.array_equal(two_sided_profile(u, zs, t), prof)
+            vals = CubicSpline(cfg.nodes(), snap.values)(math.sqrt(t) * zs)
+            assert err == float(np.max(np.abs(vals - prof)))
 
 
 class TestSolverFailure:

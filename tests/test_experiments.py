@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import pytest
 
@@ -13,6 +14,7 @@ from mildheat.experiments import (
     run,
     serialize_config,
 )
+from mildheat.kernels import UncertifiedQuadrature
 
 MINIMAL = "kind = dilation-bound\ndatum = log_sine\n"
 
@@ -163,6 +165,19 @@ class TestRun:
         assert result.exit_code == 3
         assert result.reason.startswith("solver-failure")
 
+    def test_uncertified_quadrature_exits_3(self, tmp_path, monkeypatch):
+        def boom(*a, **k):
+            raise UncertifiedQuadrature("reached the node cap")
+
+        monkeypatch.setattr(experiments.semigroup, "scaled_evolve_many", boom)
+        cfg = ExperimentConfig(
+            kind="exact-step", datum_id="step:0,1", out_dir=str(tmp_path)
+        )
+        result = run(cfg)
+        assert result.exit_code == 3
+        assert result.reason.startswith("solver-failure")
+        assert not os.listdir(tmp_path)
+
     def test_outputs_are_deterministic(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -184,3 +199,24 @@ class TestRun:
         )
         run(cfg)
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+
+class TestAtomicWrite:
+    def test_no_temp_left_and_mode_of_plain_open(self, tmp_path):
+        target = tmp_path / "out.csv"
+        experiments._atomic_write(str(target), "a,b\n")
+        experiments._atomic_write(str(target), "c,d\n")
+        plain = tmp_path / "plain.csv"
+        with open(plain, "w", encoding="utf-8") as fh:
+            fh.write("c,d\n")
+        assert target.read_text() == "c,d\n"
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "plain.csv"]
+
+    def test_failed_write_removes_temp_and_keeps_target(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        with pytest.raises(TypeError):
+            experiments._atomic_write(str(target), 42)
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]

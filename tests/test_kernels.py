@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mildheat.kernels import (
     DEFAULT_SPEC,
     QuadratureSpec,
+    UncertifiedQuadrature,
     adaptive_simpson,
     envelope_rho,
     heat_kernel,
@@ -42,6 +43,17 @@ class TestAdaptiveSimpson:
         val = adaptive_simpson(f, 0.0, 1.0, 1e-12)
         assert val == pytest.approx(1e-3 * math.sqrt(math.pi), rel=1e-6)
 
+    def test_depth_limit_across_jump_raises(self):
+        # three bisections cannot resolve a jump: no uncertified value comes back
+        jump = lambda x: 0.0 if x < 0.3 else 1.0
+        with pytest.raises(UncertifiedQuadrature, match="depth limit"):
+            adaptive_simpson(jump, 0.0, 1.0, 1e-10, max_depth=3)
+
+    def test_depth_limit_on_converged_panels_returns(self):
+        assert adaptive_simpson(lambda x: x ** 3, 0.0, 1.0, 1e-10, max_depth=3) == (
+            pytest.approx(0.25, abs=1e-15)
+        )
+
     def test_integrate_handles_kink_at_split(self):
         val = integrate(abs, -2.0, 2.0)
         assert val == pytest.approx(4.0, abs=1e-10)
@@ -59,10 +71,6 @@ class TestQuadratureSpec:
         # discarded Gaussian mass would exceed the error budget
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=1e-10, tail_radius=5.0)
-
-    def test_rejects_tiny_panel_budget(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_panels=1)
 
 
 class TestHeatKernel:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +11,11 @@ from mildheat.initial_data import (
     make_step,
     make_sub_log,
 )
-from mildheat.kernels import QuadratureSpec, profile_F
+from mildheat.kernels import QuadratureSpec, UncertifiedQuadrature, profile_F
 from mildheat.semigroup import (
     GridFunction,
+    _one_sided,
+    _refined_halfline_segment,
     evolve,
     evolve_on_grid,
     rescaled_residual,
@@ -87,6 +90,44 @@ class TestScaledEvolveMany:
             many = scaled_evolve_many(u, xs, t)
             one = np.array([scaled_evolve(u, float(x), t) for x in xs])
             assert np.max(np.abs(many - one)) < 1e-9
+
+
+class TestOneSidedLimits:
+    def test_step_reads_its_side_at_the_origin(self):
+        u = make_step(-1.5, 2.0)
+        assert float(_one_sided(u, -1.0, 0.0)) == -1.5
+        assert float(_one_sided(u, 1.0, 0.0)) == 2.0
+        assert np.array_equal(
+            _one_sided(u, 1.0, np.array([0.0, 0.5])), np.array([2.0, 2.0])
+        )
+
+    def test_step_certifies_below_node_cap(self):
+        # the half-line integrands never see the convention value (a+b)/2, so
+        # each segment converges at Simpson's rate instead of doubling to the cap
+        u = make_step(-1.5, 2.0)
+        sizes = []
+
+        def ev(x):
+            sizes.append(int(np.size(x)))
+            return u.eval(x)
+
+        recorded = dataclasses.replace(u, eval=ev)
+        spec = QuadratureSpec(abs_tol=1e-13)
+        xs = np.linspace(-4.0, 4.0, 41)
+        want = -1.5 * profile_F(-xs) + 2.0 * profile_F(xs)
+        for t in (1e-4, 1.0, 1e6):
+            got = scaled_evolve_many(recorded, xs, t, spec)
+            assert np.max(np.abs(got - want)) <= 2e-13
+        assert sizes
+        assert (1 << 17) + 1 not in sizes
+
+    def test_node_cap_raises(self):
+        # sub_log at t = 1e8 needs far more than 512 panels next to its kink
+        xs = np.linspace(-4.0, 4.0, 41)
+        with pytest.raises(UncertifiedQuadrature, match="512 panels"):
+            _refined_halfline_segment(
+                make_sub_log(0.5), xs, 1e4, 1.0, "lin", 0.0, 1.0, 1e-10, n_max=512
+            )
 
 
 class TestEvolve:
