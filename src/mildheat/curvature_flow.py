@@ -11,7 +11,7 @@ domain-of-influence buffer of 8 sqrt(T) so wall effects are below tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -33,7 +33,6 @@ class FDSolverConfig:
     t_final: float
     record_times: tuple[float, ...]
     cfl: float = 0.4
-    boundary: str = "neumann-zero"
 
     def __post_init__(self) -> None:
         if self.dx <= 0:
@@ -42,8 +41,6 @@ class FDSolverConfig:
             raise ValueError(f"cfl must lie in (0, 0.5], got {self.cfl}")
         if self.t_final <= 0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
-        if self.boundary != "neumann-zero":
-            raise ValueError(f"unsupported boundary {self.boundary!r}")
         times = tuple(self.record_times)
         if not times or list(times) != sorted(times) or times[0] <= 0:
             raise ValueError("record_times must be positive and increasing")
@@ -118,8 +115,9 @@ def curvature_heat_gap(
     """Series of (t, sqrt(t) * sup |curvature flow - heat|) at recorded times.
 
     The heat reference is the quadrature semigroup, not the FD twin, so the
-    reported gap is not contaminated by shared discretization error.  The sup
-    runs over grid points at least 8 sqrt(T) away from the walls.
+    reported gap is not contaminated by shared discretization error; it is
+    certified to spec.abs_tol.  The sup runs over grid points at least
+    8 sqrt(T) away from the walls.
     """
     snaps = solve_cf(u0, cfg)
     xs = cfg.nodes()
@@ -157,14 +155,7 @@ def flow_profile_error(
     ladder = tuple(t_ladder)
     if any(t > cfg.t_final for t in ladder):
         raise ValueError("ladder times exceed the solver horizon t_final")
-    run_cfg = FDSolverConfig(
-        half_width=cfg.half_width,
-        dx=cfg.dx,
-        t_final=cfg.t_final,
-        record_times=ladder,
-        cfl=cfg.cfl,
-        boundary=cfg.boundary,
-    )
+    run_cfg = replace(cfg, record_times=ladder)
     snaps = solve_cf(u0, run_cfg)
     xs = run_cfg.nodes()
     zs = np.linspace(-L, L, n)

@@ -22,9 +22,7 @@ class DecayClass(enum.Enum):
     """How |x u0'(x)| behaves at the ends of the log axis."""
 
     DECAYS_AT_INFINITY = "decays_at_infinity"
-    DECAYS_AT_ZERO = "decays_at_zero"
     BOUNDED_ONLY = "bounded_only"
-    NONE = "none"
 
 
 @dataclass(frozen=True)

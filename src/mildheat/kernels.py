@@ -1,18 +1,20 @@
 """Special functions: Gaussian heat kernel, similarity profile, log-smoothing
 kernel, and the shifted-Gaussian envelope, all with certified quadrature.
 
-Every integral in the package goes through :func:`adaptive_simpson` (interval
-bisection with a Richardson error estimate) so evaluation error is bounded by
-an explicit absolute tolerance.  A quadrature that exhausts its budget before
-the estimate meets the tolerance raises :class:`UncertifiedQuadrature` rather
-than return an uncertified value.  All functions here are pure and thread-safe.
+The integrals here go through :func:`adaptive_simpson` (interval bisection
+with a Richardson error estimate) so evaluation error is bounded by an
+explicit absolute tolerance; the heat evolutions of :mod:`mildheat.semigroup`
+refine composite Simpson on arrays under the same certificate.  A quadrature
+that exhausts its budget before the estimate meets the tolerance raises
+:class:`UncertifiedQuadrature` rather than return an uncertified value.  All
+functions here are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from scipy.special import erf as _erf
 
@@ -30,7 +32,6 @@ class QuadratureSpec:
 
     abs_tol: float = 1e-10
     tail_radius: float = 14.0
-    singularity_splits: tuple[float, ...] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
         if not self.abs_tol > 0:
@@ -114,31 +115,6 @@ def adaptive_simpson(
     fb = f(b)
     whole = _simpson(fa, fm, fb, b - a)
     return _adapt(f, a, b, fa, fm, fb, whole, tol, max_depth, min_depth)
-
-
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    extra_splits: Sequence[float] = (),
-) -> float:
-    """Adaptive integral of f over [a, b] split at known awkward points.
-
-    Interior points from spec.singularity_splits and extra_splits become
-    top-level panel boundaries; the tolerance is shared evenly between panels
-    so the total error stays below spec.abs_tol.
-    """
-    if b < a:
-        return -integrate(f, b, a, spec, extra_splits)
-    pts = sorted(
-        {a, b}
-        | {s for s in spec.singularity_splits if a < s < b}
-        | {s for s in extra_splits if a < s < b}
-    )
-    panels = list(zip(pts[:-1], pts[1:]))
-    tol = spec.abs_tol / len(panels)
-    return sum(adaptive_simpson(f, lo, hi, tol) for lo, hi in panels)
 
 
 def heat_kernel(x: float, t: float) -> float:

@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-from .initial_data import InitialDatum
-
 SQRT_PI = math.sqrt(math.pi)
 
 
@@ -48,22 +46,6 @@ def heat_kernel_mass_trapezoid(t: float, tail_radius: float = 14.0,
     x = np.linspace(-w, w, panels + 1)
     k = np.exp(-x * x / (4.0 * t)) / (2.0 * math.sqrt(math.pi * t))
     return float(np.trapezoid(k, x))
-
-
-def sliding_average_trapezoid(u0: InitialDatum, x: float, R: float,
-                              panels: int = 1_000_000) -> float:
-    """Window average by dense trapezoid, dodging the origin by half a panel.
-
-    Good to ~panel width near data that oscillate at 0; ample for ladder
-    trends.
-    """
-    if R <= 0:
-        raise ValueError(f"window half-width must be positive, got {R}")
-    y = np.linspace(x - R, x + R, panels + 1)
-    if u0.oscillates_at_zero:
-        h = 2.0 * R / panels
-        y = np.where(y == 0.0, 0.5 * h, y)
-    return float(np.trapezoid(u0.eval(y), y)) / (2.0 * R)
 
 
 ORACLES = {

@@ -14,10 +14,14 @@ infinitely often near the origin are integrated after the substitution
 z = e^s on the panel touching 0, which turns the oscillation into a smooth,
 exponentially damped integrand.
 
-Both quadrature paths certify their result or raise
-:class:`~mildheat.kernels.UncertifiedQuadrature`: the scalar path when
-adaptive Simpson reaches its depth limit, the vectorized path when the node
-count reaches its cap with the Richardson estimate above the tolerance.
+One engine, :func:`scaled_evolve_many`, computes every heat evolution: it
+takes an array of points, refines composite Simpson by doubling until the
+Richardson estimate certifies spec.abs_tol, and sums each node only into
+the points within the Gaussian window spec.tail_radius of it.  It raises
+:class:`~mildheat.kernels.UncertifiedQuadrature` when a segment reaches its
+node cap uncertified.  :func:`scaled_evolve`, :func:`evolve` and
+:func:`evolve_on_grid` are the same computation at one point or at
+physical coordinates.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from .kernels import (
 )
 
 _TINY = float(np.finfo(float).tiny)
+# points x nodes in one Gaussian block of the heat engine: bounds its memory
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -81,12 +87,13 @@ def _one_sided(u0: InitialDatum, sign: float, y):
     return u0.eval(sign * (y + (y == 0) * _TINY))
 
 
-def _positive_interval(g, a, b, tol, oscillatory, bound, splits=(1.0,)):
+def _positive_interval(g, a, b, tol, oscillatory, bound):
     """Integral of g over (a, b], 0 <= a < b, g possibly oscillating near 0.
 
     Oscillatory integrands are handled on the sub-interval below 1 by the
     substitution z = e^s; bound must dominate |g| near the origin so the
-    truncated s-tail (only needed when a = 0) stays below tol.
+    truncated s-tail (only needed when a = 0) stays below tol.  The rest is
+    split at 1.
     """
     if b <= a:
         return 0.0
@@ -106,10 +113,9 @@ def _positive_interval(g, a, b, tol, oscillatory, bound, splits=(1.0,)):
         lo = cut
         tol = 0.5 * tol
     if b > lo:
-        pts = sorted({lo, b} | {s for s in splits if lo < s < b})
-        panels = list(zip(pts[:-1], pts[1:]))
-        share = tol / len(panels)
-        val += sum(adaptive_simpson(g, p, q, share) for p, q in panels)
+        pts = [lo, 1.0, b] if lo < 1.0 < b else [lo, b]
+        share = tol / (len(pts) - 1)
+        val += sum(adaptive_simpson(g, p, q, share) for p, q in zip(pts, pts[1:]))
     return val
 
 
@@ -117,23 +123,7 @@ def scaled_evolve(
     u0: InitialDatum, x: float, t: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
     """Solution on the similarity scale: u(sqrt(t) x, t)."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    st = math.sqrt(t)
-    w = spec.tail_radius
-    osc = u0.oscillates_at_zero
-    bound = u0.sup_norm
-    tol = spec.abs_tol * SQRT_PI  # per half-line, so the total error is abs_tol
-
-    def g_minus(z: float) -> float:
-        return math.exp(-0.25 * (x + z) ** 2) * float(_one_sided(u0, -1.0, st * z))
-
-    def g_plus(z: float) -> float:
-        return math.exp(-0.25 * (x - z) ** 2) * float(_one_sided(u0, 1.0, st * z))
-
-    val = _positive_interval(g_minus, 0.0, max(0.0, -x) + w, tol, osc, bound)
-    val += _positive_interval(g_plus, 0.0, max(0.0, x) + w, tol, osc, bound)
-    return val / (2.0 * SQRT_PI)
+    return float(scaled_evolve_many(u0, [x], t, spec)[0])
 
 
 def scaled_evolve_many(
@@ -142,67 +132,74 @@ def scaled_evolve_many(
     t: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> np.ndarray:
-    """Vectorized u(sqrt(t) x, t) over an array of similarity points.
+    """u(sqrt(t) x, t) at an array of similarity points x, in input order.
 
-    Same half-line decomposition and oscillation substitution as
-    scaled_evolve, but integrated by globally refined composite Simpson:
-    the node count doubles until the Richardson estimate max_x |S_2n - S_n|
-    is below 15x the tolerance share, which certifies the same abs_tol as
-    the scalar path at array speed.  Raises UncertifiedQuadrature if a
-    segment reaches its node cap uncertified.
+    Each half-line is split at min(1, upper) into segments (the one touching
+    0 in s = log z for data oscillating there), and each segment is
+    certified to its share of spec.abs_tol by _refined_halfline_segment.
+    The points are sorted once, so each node sums only into the points
+    within spec.tail_radius of it.
     """
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     xs = np.asarray(xs, dtype=float)
+    order = np.argsort(xs)
+    x = xs[order]
     st = math.sqrt(t)
     w = spec.tail_radius
-    osc = u0.oscillates_at_zero
-    acc = np.zeros_like(xs)
+    acc = np.zeros_like(x)
     for sign in (-1.0, 1.0):
-        # Gaussian factor exp(-(x - sign*z)^2/4) on the half-line z > 0
-        upper = max(0.0, float(np.max(sign * xs))) + w
-        segments = []
-        if osc:
-            cut = min(1.0, upper)
+        # Gaussian factor exp(-(xi - z)^2/4) on the half-line z > 0, with
+        # xi = sign * x in ascending order
+        xi = x if sign > 0 else -x[::-1]
+        upper = max(0.0, float(xi[-1])) + w
+        cut = min(1.0, upper)
+        if u0.oscillates_at_zero:
             s_lo = math.log(spec.abs_tol / max(1.0, u0.sup_norm)) - 1.0
-            segments.append(("log", s_lo, math.log(cut)))
-            if upper > cut:
-                segments.append(("lin", cut, upper))
+            segments = [("log", s_lo, math.log(cut))]
         else:
-            cut = min(1.0, upper)
-            segments.append(("lin", 0.0, cut))
-            if upper > cut:
-                segments.append(("lin", cut, upper))
-        tol = spec.abs_tol * 2.0 * SQRT_PI / (2.0 * len(segments))
+            segments = [("lin", 0.0, cut)]
+        if upper > cut:
+            segments.append(("lin", cut, upper))
+        # per segment: both sides' errors over 2 sqrt(pi) total abs_tol
+        tol = spec.abs_tol * SQRT_PI / len(segments)
         for kind, a, b in segments:
-            acc += _refined_halfline_segment(u0, xs, st, sign, kind, a, b, tol)
-    return acc / (2.0 * SQRT_PI)
+            part = _refined_halfline_segment(u0, xi, st, sign, kind, a, b, tol, w)
+            acc += part if sign > 0 else part[::-1]
+    out = np.empty_like(acc)
+    out[order] = acc / (2.0 * SQRT_PI)
+    return out
 
 
-def _refined_halfline_segment(u0, xs, st, sign, kind, a, b, tol,
+def _refined_halfline_segment(u0, xi, st, sign, kind, a, b, tol, w,
                               n0=256, n_max=1 << 17):
+    """Certified int_a^b e^{-(xi - z)^2/4} u0(sign st z) dz at ascending xi.
+
+    kind "log" integrates in s = log z over [a, b] instead.  Composite
+    Simpson doubles its panel count n from n0, each level built from the
+    trapezoid sum T and the midpoint sum M of the level before:
+    S_2m = (T_m + 2 M_m)/3 and T_2m = (T_m + M_m)/2, so a level evaluates
+    the datum and the Gaussian only at its new midpoints.  Returns
+    S_n + (S_n - S_{n/2})/15 once max |S_n - S_{n/2}| <= 15 tol (the
+    Richardson certificate); raises UncertifiedQuadrature if n reaches n_max
+    first.
+    """
+
+    def node_sum(p, weight):
+        z = np.exp(p) if kind == "log" else p
+        q = np.asarray(_one_sided(u0, sign, st * z), dtype=float) * weight
+        return _gauss_sum(xi, z, q * z if kind == "log" else q, w)
+
+    m = n0 // 2
+    h = (b - a) / m
+    ends = np.full(m + 1, h)
+    ends[[0, -1]] *= 0.5
+    trap = node_sum(np.linspace(a, b, m + 1), ends)
     prev = None
-    n = n0
     while True:
-        p = np.linspace(a, b, n + 1)
-        if kind == "log":
-            z = np.exp(p)
-            jac = z
-        else:
-            z = p
-            jac = 1.0
-        q = np.asarray(_one_sided(u0, sign, st * z), dtype=float) * jac
-        wts = np.ones(n + 1)
-        wts[1:-1:2] = 4.0
-        wts[2:-1:2] = 2.0
-        cq = q * wts * ((b - a) / n / 3.0)
-        s = np.zeros_like(xs)
-        for k in range(0, n + 1, 4096):
-            blk = slice(k, min(k + 4096, n + 1))
-            s += (
-                cq[None, blk]
-                * np.exp(-0.25 * (xs[:, None] - sign * z[None, blk]) ** 2)
-            ).sum(axis=1)
+        mid = node_sum(a + h * (np.arange(m) + 0.5), h)
+        s = (trap + 2.0 * mid) / 3.0
+        n = 2 * m
         if prev is not None:
             delta = s - prev
             err = float(np.max(np.abs(delta)))
@@ -215,17 +212,37 @@ def _refined_halfline_segment(u0, xs, st, sign, kind, a, b, tol,
                     f"{err / 15.0:.3g} above the share {tol:.3g}"
                 )
         prev = s
-        n *= 2
+        trap = 0.5 * (trap + mid)
+        m, h = n, 0.5 * h
+
+
+def _gauss_sum(xi, z, c, w):
+    """sum_j c_j e^{-(xi_i - z_j)^2/4} over the nodes z_j within w of xi_i.
+
+    xi and z ascending.  Runs of points spanning at most w/2 are summed
+    against the contiguous node range within w of the run, in blocks of at
+    most _BLOCK points x nodes.
+    """
+    out = np.zeros_like(xi)
+    i = 0
+    while i < len(xi):
+        e = min(int(np.searchsorted(xi, xi[i] + 0.5 * w, "right")), i + _BLOCK)
+        lo, hi = np.searchsorted(z, (xi[i] - w, xi[e - 1] + w))
+        step = _BLOCK // (e - i)
+        for k in range(lo, hi, step):
+            nodes = slice(k, min(k + step, hi))
+            d = xi[i:e, None] - z[None, nodes]
+            d *= d
+            d *= -0.25
+            out[i:e] += np.exp(d, out=d) @ c[nodes]
+        i = e
+    return out
 
 
 def evolve(
     u0: InitialDatum, x: float, t: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
-    """Heat evolution at a physical point: u(x, t).
-
-    Evaluated through the similarity form at x/sqrt(t), which keeps the datum
-    kink at an integration endpoint and reuses the oscillation handling.
-    """
+    """Heat evolution at a physical point: u(x, t) = scaled_evolve at x/sqrt(t)."""
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     return scaled_evolve(u0, x / math.sqrt(t), t, spec)
@@ -236,31 +253,11 @@ def evolve_on_grid(
     xs: np.ndarray,
     t: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    panels: int = 4000,
 ) -> np.ndarray:
-    """Vectorized heat evolution at many physical points.
-
-    Composite Simpson in the similarity offset w over [-W, W]:
-    u(x, t) = (1/(2 sqrt(pi))) int e^{-w^2/4} u0(x + sqrt(t) w) dw.
-    Requires a smooth datum (fixed panels cannot certify kinks); non-smooth
-    data fall back to the certified scalar path.
-    """
+    """Heat evolution u(x, t) at an array of physical points, in input order."""
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
-    xs = np.asarray(xs, dtype=float)
-    if not u0.smooth:
-        return np.array([evolve(u0, float(x), t, spec) for x in xs])
-    w = np.linspace(-spec.tail_radius, spec.tail_radius, panels + 1)
-    h = w[1] - w[0]
-    wts = np.ones(panels + 1)
-    wts[1:-1:2] = 4.0
-    wts[2:-1:2] = 2.0
-    coeff = wts * (h / 3.0) * np.exp(-0.25 * w ** 2) / (2.0 * SQRT_PI)
-    st = math.sqrt(t)
-    acc = np.zeros_like(xs)
-    for wi, ci in zip(w, coeff):
-        acc += ci * u0.eval(xs + st * wi)
-    return acc
+    return scaled_evolve_many(u0, np.asarray(xs, dtype=float) / math.sqrt(t), t, spec)
 
 
 def sliding_average(
@@ -317,7 +314,6 @@ def rescaled_residual(
     tight = QuadratureSpec(
         abs_tol=max(min(spec.abs_tol, h * h * 1e-8), 1e-14),
         tail_radius=spec.tail_radius,
-        singularity_splits=spec.singularity_splits,
     )
     xs = np.linspace(-x_window, x_window, n)
     dx = xs[1] - xs[0]

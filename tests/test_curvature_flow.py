@@ -47,8 +47,6 @@ class TestFDSolverConfig:
             _cfg(record_times=(2.0, 1.0))
         with pytest.raises(ValueError):
             _cfg(record_times=(2.0,))  # beyond t_final
-        with pytest.raises(ValueError):
-            _cfg(boundary="dirichlet")
 
 
 class TestSolvers:

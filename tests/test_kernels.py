@@ -12,7 +12,6 @@ from mildheat.kernels import (
     adaptive_simpson,
     envelope_rho,
     heat_kernel,
-    integrate,
     kernel_G,
     profile_F,
     profile_F_quad,
@@ -53,10 +52,6 @@ class TestAdaptiveSimpson:
         assert adaptive_simpson(lambda x: x ** 3, 0.0, 1.0, 1e-10, max_depth=3) == (
             pytest.approx(0.25, abs=1e-15)
         )
-
-    def test_integrate_handles_kink_at_split(self):
-        val = integrate(abs, -2.0, 2.0)
-        assert val == pytest.approx(4.0, abs=1e-10)
 
 
 class TestQuadratureSpec:

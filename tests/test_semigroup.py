@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from mildheat.initial_data import (
     make_constant,
@@ -75,12 +76,36 @@ class TestScaledEvolve:
             scaled_evolve(make_constant(1.0), 0.0, 0.0)
 
 
+def _quadpack_scaled(u, x, t):
+    """u(sqrt(t) x, t) at one point by QUADPACK, independent of the engine:
+
+    (1/(2 sqrt(pi))) sum over +- of int_0^inf e^{-(x -+ z)^2/4} u0(+-sqrt(t) z) dz,
+    the piece below z = 1 taken in s = log z (cut at s = -60) so that data
+    oscillating at the origin give a smooth integrand.
+    """
+    st = math.sqrt(t)
+    total = 0.0
+    for sign in (-1.0, 1.0):
+
+        def g(z):
+            return math.exp(-0.25 * (x - sign * z) ** 2) * float(u.eval(sign * st * z))
+
+        near, _ = integrate.quad(
+            lambda s: g(math.exp(s)) * math.exp(s), -60.0, 0.0,
+            epsabs=1e-14, epsrel=1e-13, limit=500,
+        )
+        far, _ = integrate.quad(g, 1.0, abs(x) + 40.0, epsabs=1e-14, epsrel=1e-13, limit=500)
+        total += near + far
+    return total / (2.0 * math.sqrt(math.pi))
+
+
 class TestScaledEvolveMany:
+    # the per-point ("scalar path") reference is QUADPACK, independent of the engine
     def test_matches_scalar_path_oscillatory(self):
         u = make_log_sine()
         xs = np.linspace(-4.0, 4.0, 17)
         many = scaled_evolve_many(u, xs, 100.0)
-        one = np.array([scaled_evolve(u, float(x), 100.0) for x in xs])
+        one = np.array([_quadpack_scaled(u, float(x), 100.0) for x in xs])
         assert np.max(np.abs(many - one)) < 1e-9
 
     def test_matches_scalar_path_kinked(self):
@@ -88,7 +113,7 @@ class TestScaledEvolveMany:
         xs = np.linspace(-4.0, 4.0, 9)
         for t in (1e-4, 1.0, 1e4):
             many = scaled_evolve_many(u, xs, t)
-            one = np.array([scaled_evolve(u, float(x), t) for x in xs])
+            one = np.array([_quadpack_scaled(u, float(x), t) for x in xs])
             assert np.max(np.abs(many - one)) < 1e-9
 
 
@@ -126,7 +151,8 @@ class TestOneSidedLimits:
         xs = np.linspace(-4.0, 4.0, 41)
         with pytest.raises(UncertifiedQuadrature, match="512 panels"):
             _refined_halfline_segment(
-                make_sub_log(0.5), xs, 1e4, 1.0, "lin", 0.0, 1.0, 1e-10, n_max=512
+                make_sub_log(0.5), xs, 1e4, 1.0, "lin", 0.0, 1.0, 1e-10, 14.0,
+                n_max=512,
             )
 
 
@@ -139,11 +165,21 @@ class TestEvolve:
         assert evolve(u, x, t) == pytest.approx(want, abs=1e-9)
 
     def test_on_grid_matches_scalar(self):
+        # each grid value against the Gaussian closed form at that point
         u = make_gaussian(1.0)
         xs = np.linspace(-3.0, 3.0, 7)
         grid = evolve_on_grid(u, xs, 2.0)
-        one = np.array([evolve(u, float(x), 2.0) for x in xs])
+        one = np.sqrt(1.0 / 3.0) * np.exp(-xs ** 2 / 12.0)
         assert np.max(np.abs(grid - one)) < 1e-8
+
+    def test_on_grid_unsorted_wide_grid_in_input_order(self):
+        # a shuffled physical grid much wider than the Gaussian window: every
+        # point must see its own window and come back in its input slot
+        u = make_gaussian(1.0)
+        s, t = 1.0, 1.5
+        xs = np.random.default_rng(3).permutation(np.linspace(-160.0, 160.0, 3201))
+        want = math.sqrt(s / (s + t)) * np.exp(-xs ** 2 / (4.0 * (s + t)))
+        assert np.max(np.abs(evolve_on_grid(u, xs, t) - want)) <= 2e-10
 
     def test_on_grid_nonsmooth_fallback(self):
         u = make_step(0.0, 1.0)
