@@ -6,6 +6,15 @@ dt = cfl * dx^2 (the diffusion coefficient is at most 1, so the standard
 parabolic stability bound applies and a discrete maximum principle holds),
 and homogeneous Neumann walls at +-X.  Observation points stay inside a
 domain-of-influence buffer of 8 sqrt(T) so wall effects are below tolerance.
+
+One loop, `_march`, steps both flows in place.  Each step writes the forward
+differences g of u, the second differences D = g[1:] - g[:-1] and, for the
+curvature flow, S = g[1:] + g[:-1] into buffers allocated once per call, then
+adds r D (heat) or D / (1/r + S^2 / (4 dx^2 r)) (curvature flow) to the
+interior, with r = dt / dx^2; the mirror walls read g[0] and g[-1].  The
+range of the initial data is checked every _CHECK_EVERY = 64 steps and on
+the last step of each record interval, so an instability raises
+SolverFailure near the step where it starts, not at the next record time.
 """
 
 from __future__ import annotations
@@ -20,6 +29,11 @@ from .initial_data import DecayClass, InitialDatum
 from .kernels import DEFAULT_SPEC, QuadratureSpec
 from .profile_bounds import two_sided_profile
 from .semigroup import GridFunction, evolve_on_grid
+
+
+# steps between range checks inside a record interval; the last step of each
+# interval is always checked
+_CHECK_EVERY = 64
 
 
 class SolverFailure(RuntimeError):
@@ -60,33 +74,54 @@ class FDSolverConfig:
 def _march(u0: InitialDatum, cfg: FDSolverConfig, nonlinear: bool) -> list[GridFunction]:
     xs = cfg.nodes()
     dx = xs[1] - xs[0]
-    u = np.asarray(u0.eval(xs), dtype=float).copy()
-    lo = float(np.min(u)) - 1e-8
-    hi = float(np.max(u)) + 1e-8
+    u = np.array(u0.eval(xs), dtype=float)
+    lo = float(u.min()) - 1e-8
+    hi = float(u.max()) + 1e-8
     dt_max = cfg.cfl * dx * dx
+    # work buffers and the views the stencil reads and writes, made once
+    g = np.empty(len(u) - 1)   # forward differences u[i+1] - u[i]
+    D = np.empty(len(u) - 2)   # second differences
+    S = np.empty(len(u) - 2)   # doubled centered differences (curvature flow)
+    u_right, u_left, u_inner = u[1:], u[:-1], u[1:-1]
+    g_right, g_left = g[1:], g[:-1]
     snapshots = []
     t = 0.0
+    step = 0
     for target in cfg.record_times:
         nsteps = max(1, int(math.ceil((target - t) / dt_max - 1e-12)))
         dt = (target - t) / nsteps
-        for _ in range(nsteps):
-            uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+        r = dt / (dx * dx)
+        wall = 2.0 * r
+        # u_xx / (1 + u_x^2) dt = D / (1/r + S^2 / (4 dx^2 r))
+        inv_r = 1.0 / r
+        slope_coef = inv_r / (4.0 * dx * dx)
+        for k in range(1, nsteps + 1):
+            np.subtract(u_right, u_left, out=g)
+            np.subtract(g_right, g_left, out=D)
             if nonlinear:
-                ux = (u[2:] - u[:-2]) / (2.0 * dx)
-                uxx = uxx / (1.0 + ux * ux)
-            unew = u.copy()
-            unew[1:-1] += dt * uxx
-            # mirror ghost nodes: zero-slope walls
-            unew[0] += dt * 2.0 * (u[1] - u[0]) / (dx * dx)
-            unew[-1] += dt * 2.0 * (u[-2] - u[-1]) / (dx * dx)
-            u = unew
+                np.add(g_right, g_left, out=S)
+                np.multiply(S, S, out=S)
+                np.multiply(S, slope_coef, out=S)
+                np.add(S, inv_r, out=S)
+                np.divide(D, S, out=D)
+            else:
+                np.multiply(D, r, out=D)
+            # mirror ghost nodes: zero-slope walls, from the pre-step differences
+            u[0] += wall * g[0]
+            u[-1] -= wall * g[-1]
+            np.add(u_inner, D, out=u_inner)
+            step += 1
+            if step % _CHECK_EVERY == 0 or k == nsteps:
+                # written so that a NaN fails the test as well
+                if not (lo <= u.min() and u.max() <= hi):
+                    t_check = target if k == nsteps else t + k * dt
+                    raise SolverFailure(
+                        f"solution left [{lo:.6g}, {hi:.6g}] at t = {t_check:g}, "
+                        f"step {step} (range checked every {_CHECK_EVERY} steps "
+                        f"and at each record time; range [{u.min():.6g}, "
+                        f"{u.max():.6g}]); dx = {dx:g}, cfl = {cfg.cfl:g}"
+                    )
         t = target
-        if not np.all(np.isfinite(u)) or np.min(u) < lo or np.max(u) > hi:
-            raise SolverFailure(
-                f"solution left [{lo:.6g}, {hi:.6g}] at t = {t:g} "
-                f"(range [{np.min(u):.6g}, {np.max(u):.6g}]); "
-                f"dx = {dx:g}, cfl = {cfg.cfl:g}"
-            )
         snapshots.append(
             GridFunction(float(xs[0]), float(xs[-1]), len(xs), u.copy())
         )

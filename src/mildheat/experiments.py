@@ -114,11 +114,17 @@ class ExperimentConfig:
         base = _DEFAULT_FD.get(self.kind, dict(half_width=60.0, dx=0.1, t_final=10.0))
         half_width = self.fd_half_width or base["half_width"]
         t_final = self.fd_t_final or max(base["t_final"], max(self.times()))
+        beyond = [t for t in self.times() if t > t_final]
+        if beyond:
+            raise ConfigError(
+                f"t_ladder entries {', '.join(f'{t:g}' for t in beyond)} exceed "
+                f"fd_t_final = {t_final:g}"
+            )
         return FDSolverConfig(
             half_width=half_width,
             dx=self.fd_dx,
             t_final=t_final,
-            record_times=tuple(t for t in self.times() if t <= t_final),
+            record_times=self.times(),
             cfl=self.fd_cfl,
         )
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,10 +53,10 @@ class TestFDSolverConfig:
 class TestSolvers:
     def test_constant_is_exact_for_both(self):
         u = make_constant(0.5)
-        cfg = _cfg()
+        cfg = _cfg(record_times=(0.3, 1.0))
         for solver in (solve_cf, solve_heat_fd):
-            snap = solver(u, cfg)[0]
-            assert np.max(np.abs(snap.values - 0.5)) < 1e-12
+            for snap in solver(u, cfg):
+                assert np.array_equal(snap.values, np.full(snap.n, 0.5))
 
     def test_heat_fd_second_order(self):
         # halving dx divides the error against the closed form by about 4
@@ -89,6 +90,63 @@ class TestSolvers:
     def test_curvature_flow_rejects_kinked_data(self):
         with pytest.raises(ValueError, match="twice-differentiable"):
             solve_cf(make_step(0.0, 1.0), _cfg())
+
+
+def _reference_march(u0, cfg, nonlinear):
+    """Explicit Euler march that allocates a new array each step."""
+    xs = cfg.nodes()
+    dx = xs[1] - xs[0]
+    u = np.asarray(u0.eval(xs), dtype=float).copy()
+    dt_max = cfg.cfl * dx * dx
+    out = []
+    t = 0.0
+    for target in cfg.record_times:
+        nsteps = max(1, int(math.ceil((target - t) / dt_max - 1e-12)))
+        dt = (target - t) / nsteps
+        for _ in range(nsteps):
+            uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+            if nonlinear:
+                ux = (u[2:] - u[:-2]) / (2.0 * dx)
+                uxx = uxx / (1.0 + ux * ux)
+            unew = u.copy()
+            unew[1:-1] += dt * uxx
+            # mirror ghost nodes: zero-slope walls
+            unew[0] += dt * 2.0 * (u[1] - u[0]) / (dx * dx)
+            unew[-1] += dt * 2.0 * (u[-2] - u[-1]) / (dx * dx)
+            u = unew
+        t = target
+        out.append(u.copy())
+    return out
+
+
+class TestInPlaceMarch:
+    # record times that are not multiples of dt_max = 0.4 * 0.1^2 = 0.004
+    CFG = dict(half_width=4.0, dx=0.1, t_final=0.5, record_times=(0.1371, 0.5))
+
+    @pytest.mark.parametrize(
+        "solver, nonlinear, datum",
+        [
+            (solve_heat_fd, False, make_gaussian(0.2)),
+            (solve_cf, True, make_gaussian(0.2)),
+            (solve_cf, True, make_smooth_log_sine(1.0)),
+        ],
+    )
+    def test_matches_allocating_reference(self, solver, nonlinear, datum):
+        cfg = _cfg(**self.CFG)
+        snaps = solver(datum, cfg)
+        refs = _reference_march(datum, cfg, nonlinear)
+        assert len(snaps) == len(refs) == 2
+        for snap, ref in zip(snaps, refs):
+            assert np.max(np.abs(snap.values - ref)) <= 1e-13
+
+    def test_snapshots_do_not_alias_work_buffers(self):
+        u = make_gaussian(0.2)
+        both = _cfg(**self.CFG)
+        first = dataclasses.replace(both, record_times=both.record_times[:1])
+        for solver in (solve_cf, solve_heat_fd):
+            early, late = solver(u, both)
+            assert np.array_equal(early.values, solver(u, first)[0].values)
+            assert not np.shares_memory(early.values, late.values)
 
 
 class TestCurvatureHeatGap:
@@ -151,5 +209,13 @@ class TestSolverFailure:
         # an unstable marching setup must raise, not return garbage
         cfg = _cfg()
         object.__setattr__(cfg, "cfl", 0.9)  # bypass the guard to force blow-up
-        with pytest.raises(SolverFailure):
+        with pytest.raises(SolverFailure) as info:
             solve_heat_fd(make_gaussian(0.05), cfg)
+        # the range is checked every 64 steps, so the blow-up is reported
+        # well before the only record time, t = 1
+        msg = str(info.value)
+        t = float(re.search(r"at t = (\S+),", msg).group(1))
+        step = int(re.search(r"step (\d+) ", msg).group(1))
+        assert t < 1.0
+        assert step % 64 == 0
+        assert "every 64 steps" in msg

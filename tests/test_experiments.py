@@ -83,6 +83,24 @@ class TestConfigValidation:
                 kind="profile-error", datum_id="log_sine", t_ladder=(10.0, 1.0)
             )
 
+    def test_ladder_beyond_fd_horizon(self, tmp_path):
+        # a t_ladder time past fd_t_final is an error, not a dropped row
+        cfg = ExperimentConfig(
+            kind="curvature-gap",
+            datum_id="smooth_log_sine:1",
+            t_ladder=(1.0, 3.0, 10.0, 30.0),
+            fd_half_width=80.0,
+            fd_dx=0.2,
+            fd_t_final=10.0,
+            out_dir=str(tmp_path),
+        )
+        with pytest.raises(ConfigError, match="30 exceed fd_t_final = 10"):
+            cfg.fd_config()
+        result = run(cfg)
+        assert result.exit_code == 2
+        assert result.reason.startswith("config-error")
+        assert not os.listdir(tmp_path)
+
     def test_default_time_ladders(self):
         cfg = ExperimentConfig(kind="exact-step", datum_id="step:0,1")
         assert cfg.times() == (0.1, 1.0, 10.0, 1e6)
