@@ -202,8 +202,10 @@ def _umask() -> int:
 def _atomic_write(path: str, content: str) -> None:
     """Write content to path through a private temporary file in the same
     directory, so concurrent writers never share or expose a partial file.
-    The file gets the mode a plain open() would give it."""
+    The file gets the mode a plain open() would give it, and its directory
+    is created if missing, so a run that fails before writing leaves none."""
     directory, name = os.path.split(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -281,7 +283,6 @@ def run(cfg: ExperimentConfig) -> RunResult:
         u0 = initial_data.from_id(cfg.datum_id)
     except ValueError as exc:
         return RunResult(2, [], {}, f"config-error: {exc}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     base = os.path.join(cfg.out_dir, f"{cfg.kind}_{_slug(cfg.datum_id)}")
     try:
         handler = _HANDLERS[cfg.kind]

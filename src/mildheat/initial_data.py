@@ -35,7 +35,6 @@ class InitialDatum:
     sup_right: float  # sup over y>0 of |y u0'(y)|
     decay_class: DecayClass
     smooth: bool      # C^2 with Hoelder second derivative
-    decays_at_zero: bool = False   # |x u0'(x)| -> 0 as |x| -> 0
     oscillates_at_zero: bool = False  # infinitely many oscillations near 0
 
     def __repr__(self) -> str:  # keep the callables out of test failure output
@@ -70,7 +69,6 @@ def make_step(a: float, b: float) -> InitialDatum:
         sup_right=0.0,
         decay_class=DecayClass.DECAYS_AT_INFINITY,
         smooth=False,
-        decays_at_zero=True,
     )
 
 
@@ -90,7 +88,6 @@ def make_constant(c: float) -> InitialDatum:
         sup_right=0.0,
         decay_class=DecayClass.DECAYS_AT_INFINITY,
         smooth=True,
-        decays_at_zero=True,
     )
 
 
@@ -152,7 +149,6 @@ def make_sub_log(alpha: float) -> InitialDatum:
         sup_right=alpha,
         decay_class=DecayClass.DECAYS_AT_INFINITY,
         smooth=False,
-        decays_at_zero=True,
     )
 
 
@@ -188,7 +184,6 @@ def make_smooth_log_sine(alpha: float) -> InitialDatum:
         sup_right=bound,
         decay_class=decay,
         smooth=True,
-        decays_at_zero=True,
     )
 
 
@@ -216,7 +211,6 @@ def make_gaussian(s: float) -> InitialDatum:
         sup_right=2.0 / E,
         decay_class=DecayClass.DECAYS_AT_INFINITY,
         smooth=True,
-        decays_at_zero=True,
     )
 
 

@@ -29,7 +29,6 @@ class ProfileErrorReport:
     coeff_left: float   # u0(-sqrt(t))
     coeff_right: float  # u0(+sqrt(t))
     envelope_bound: float | None = None
-    log_bound_values: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.t <= 0 or self.L <= 0:
@@ -103,10 +102,10 @@ def envelope_bound(
         raise ValueError("L and t must be positive")
     st = math.sqrt(t)
 
-    def g(z: float) -> float:
+    def g(z):
         return envelope_rho(L, z) * (
-            abs(float(_one_sided(u0, -1.0, st * z)) - a)
-            + abs(float(_one_sided(u0, 1.0, st * z)) - b)
+            np.abs(_one_sided(u0, -1.0, st * z) - a)
+            + np.abs(_one_sided(u0, 1.0, st * z) - b)
         )
 
     bound = 2.0 * u0.sup_norm + abs(a) + abs(b)

@@ -12,7 +12,9 @@ reads the datum through its one-sided limit at the origin (see
 integrands and every panel sees a smooth function.  Data that oscillate
 infinitely often near the origin are integrated after the substitution
 z = e^s on the panel touching 0, which turns the oscillation into a smooth,
-exponentially damped integrand.
+exponentially damped integrand.  Other data vary on the scale z ~ 1/sqrt(t)
+there, so above 1/sqrt(t) they take the same substitution: every catalog
+datum certifies at arbitrarily large t (tested to 1e16).
 
 One engine, :func:`scaled_evolve_many`, computes every heat evolution: it
 takes an array of points, refines composite Simpson by doubling until the
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -80,20 +83,18 @@ def _one_sided(u0: InitialDatum, sign: float, y):
     y = 0 is read at the smallest normal distance instead, which gives the
     one-sided limit at the origin for every catalog datum (each is continuous
     from either side there) and never the convention value at 0 itself.
-    Every y > 0 passes unchanged, bit for bit.  The bump is plain arithmetic
-    because np.maximum on a Python float costs more than the scalar datum
-    evaluation it guards.
+    Every y > 0 passes unchanged, bit for bit.
     """
-    return u0.eval(sign * (y + (y == 0) * _TINY))
+    return u0.eval(sign * np.where(y == 0, _TINY, y))
 
 
 def _positive_interval(g, a, b, tol, oscillatory, bound):
     """Integral of g over (a, b], 0 <= a < b, g possibly oscillating near 0.
 
-    Oscillatory integrands are handled on the sub-interval below 1 by the
-    substitution z = e^s; bound must dominate |g| near the origin so the
-    truncated s-tail (only needed when a = 0) stays below tol.  The rest is
-    split at 1.
+    g maps arrays to arrays.  Oscillatory integrands are handled on the
+    sub-interval below 1 by the substitution z = e^s; bound must dominate |g|
+    near the origin so the truncated s-tail (only needed when a = 0) stays
+    below tol.  The rest is split at 1.
     """
     if b <= a:
         return 0.0
@@ -108,7 +109,7 @@ def _positive_interval(g, a, b, tol, oscillatory, bound):
             s_lo = math.log(a)
         if s_lo < s_hi:
             val += adaptive_simpson(
-                lambda s: g(math.exp(s)) * math.exp(s), s_lo, s_hi, 0.5 * tol
+                lambda s: g(np.exp(s)) * np.exp(s), s_lo, s_hi, 0.5 * tol
             )
         lo = cut
         tol = 0.5 * tol
@@ -134,9 +135,12 @@ def scaled_evolve_many(
 ) -> np.ndarray:
     """u(sqrt(t) x, t) at an array of similarity points x, in input order.
 
-    Each half-line is split at min(1, upper) into segments (the one touching
-    0 in s = log z for data oscillating there), and each segment is
-    certified to its share of spec.abs_tol by _refined_halfline_segment.
+    Each half-line is split at cut = min(1, upper) into segments, and each
+    segment is certified to its share of spec.abs_tol by
+    _refined_halfline_segment.  Below cut, data oscillating at 0 are taken in
+    s = log z; other data, when 1/sqrt(t) < cut, are taken linearly on
+    [0, 1/sqrt(t)] and in s = log z on [1/sqrt(t), cut], so the node count
+    grows at most like log t.
     The points are sorted once, so each node sums only into the points
     within spec.tail_radius of it.
     """
@@ -157,6 +161,9 @@ def scaled_evolve_many(
         if u0.oscillates_at_zero:
             s_lo = math.log(spec.abs_tol / max(1.0, u0.sup_norm)) - 1.0
             segments = [("log", s_lo, math.log(cut))]
+        elif st * cut > 1.0:
+            # the datum varies on the scale z ~ 1/sqrt(t): grade in log z above it
+            segments = [("lin", 0.0, 1.0 / st), ("log", -math.log(st), math.log(cut))]
         else:
             segments = [("lin", 0.0, cut)]
         if upper > cut:
@@ -271,20 +278,15 @@ def sliding_average(
     if R <= 0:
         raise ValueError(f"window half-width must be positive, got {R}")
     lo, hi = x - R, x + R
-    tol = spec.abs_tol * 2.0 * R
-    osc = u0.oscillates_at_zero
-    bound = u0.sup_norm
-    neg = lambda z: float(_one_sided(u0, -1.0, z))
-    pos = lambda z: float(_one_sided(u0, 1.0, z))
-    val = 0.0
-    if lo < 0.0 < hi:
-        half = 0.5 * tol
-        val += _positive_interval(neg, 0.0, -lo, half, osc, bound)
-        val += _positive_interval(pos, 0.0, hi, half, osc, bound)
-    elif hi <= 0.0:
-        val += _positive_interval(neg, -hi, -lo, tol, osc, bound)
-    else:
-        val += _positive_interval(pos, lo, hi, tol, osc, bound)
+    # the parts of the window on each side of 0, as distances from it
+    sides = [(sign, a, b) for sign, a, b in
+             ((-1.0, max(0.0, -hi), -lo), (1.0, max(0.0, lo), hi)) if a < b]
+    tol = spec.abs_tol * 2.0 * R / len(sides)
+    val = sum(
+        _positive_interval(partial(_one_sided, u0, sign), a, b, tol,
+                           u0.oscillates_at_zero, u0.sup_norm)
+        for sign, a, b in sides
+    )
     return val / (2.0 * R)
 
 

@@ -101,6 +101,18 @@ class TestConfigValidation:
         assert result.reason.startswith("config-error")
         assert not os.listdir(tmp_path)
 
+    def test_config_error_leaves_no_output_directory(self, tmp_path):
+        out = tmp_path / "fresh" / "out"
+        cfg = ExperimentConfig(
+            kind="curvature-gap",
+            datum_id="smooth_log_sine:1",
+            t_ladder=(1.0, 30.0),
+            fd_t_final=10.0,
+            out_dir=str(out),
+        )
+        assert run(cfg).exit_code == 2
+        assert not (tmp_path / "fresh").exists()
+
     def test_default_time_ladders(self):
         cfg = ExperimentConfig(kind="exact-step", datum_id="step:0,1")
         assert cfg.times() == (0.1, 1.0, 10.0, 1e6)

@@ -115,8 +115,9 @@ class TestMetadataHonesty:
 
     @pytest.mark.parametrize("datum_id", catalog())
     def test_decays_at_zero_flag(self, datum_id):
+        # every datum not flagged oscillates_at_zero has |x u0'(x)| -> 0 at 0
         u = from_id(datum_id)
-        if not u.decays_at_zero:
+        if u.oscillates_at_zero:
             return
         r = np.geomspace(1e-8, 1e-6, 2000)
         tiny = float(np.max(np.abs(r * np.asarray(u.deriv(r), dtype=float))))

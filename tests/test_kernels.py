@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mildheat import kernels
 from mildheat.kernels import (
     DEFAULT_SPEC,
     QuadratureSpec,
@@ -19,39 +20,108 @@ from mildheat.kernels import (
 from mildheat.oracles import kernel_G_trapezoid
 
 
+def _recursive_simpson(f, a, b, tol, max_depth=48, min_depth=6):
+    """Depth-first adaptive Simpson on a scalar f: the reference for the level
+    sweep, which must visit the same nodes and accept the same panels."""
+
+    def simpson(fa, fm, fb, width):
+        return width / 6.0 * (fa + 4.0 * fm + fb)
+
+    def adapt(a, b, fa, fm, fb, whole, tol, depth, force):
+        m = 0.5 * (a + b)
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = f(lm), f(rm)
+        left, right = simpson(fa, flm, fm, m - a), simpson(fm, frm, fb, b - m)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * tol and force <= 0:
+            return left + right + delta / 15.0
+        if depth <= 0:
+            raise UncertifiedQuadrature("depth limit")
+        return (adapt(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1, force - 1)
+                + adapt(m, b, fm, frm, fb, right, 0.5 * tol, depth - 1, force - 1))
+
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    return adapt(a, b, fa, fm, fb, simpson(fa, fm, fb, b - a), tol, max_depth, min_depth)
+
+
 class TestAdaptiveSimpson:
+    # integrands map arrays of nodes to arrays of values
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: np.exp(-0.25 * x * x), -14.0, 2.5),
+        (lambda x: np.exp(-((x - 0.3) / 1e-3) ** 2), 0.0, 1.0),
+        (lambda x: np.sqrt(x) * np.log1p(x), 0.0, 3.0),
+        (lambda x: np.exp(-0.25 * (1.5 - np.exp(x)) ** 2) * -x * np.exp(x), -40.0, 0.0),
+    ])
+    def test_same_nodes_and_value_as_recursion(self, f, a, b):
+        swept, walked = [], []
+
+        def array_f(x):
+            swept.extend(x.tolist())
+            return f(x)
+
+        def scalar_f(x):
+            walked.append(x)
+            return float(f(np.float64(x)))
+
+        val = adaptive_simpson(array_f, a, b, 1e-10)
+        ref = _recursive_simpson(scalar_f, a, b, 1e-10)
+        assert sorted(swept) == sorted(walked)
+        assert val == pytest.approx(ref, rel=1e-14, abs=1e-16)
+
     def test_cubic_is_exact(self):
         # Simpson integrates cubics exactly on any panel
         val = adaptive_simpson(lambda x: x ** 3 - 2.0 * x, -1.0, 3.0, 1e-12)
         assert val == pytest.approx(20.0 - 8.0, abs=1e-10)
 
     def test_gaussian_tolerance(self):
-        val = adaptive_simpson(lambda x: math.exp(-0.25 * x * x), -14.0, 14.0, 1e-12)
+        val = adaptive_simpson(lambda x: np.exp(-0.25 * x * x), -14.0, 14.0, 1e-12)
         assert val == pytest.approx(2.0 * math.sqrt(math.pi), abs=1e-11)
 
     def test_reversed_limits_flip_sign(self):
-        fwd = adaptive_simpson(math.sin, 0.0, 2.0, 1e-10)
-        assert adaptive_simpson(math.sin, 2.0, 0.0, 1e-10) == -fwd
+        fwd = adaptive_simpson(np.sin, 0.0, 2.0, 1e-10)
+        assert adaptive_simpson(np.sin, 2.0, 0.0, 1e-10) == -fwd
 
     def test_empty_interval(self):
-        assert adaptive_simpson(math.exp, 1.0, 1.0, 1e-10) == 0.0
+        assert adaptive_simpson(np.exp, 1.0, 1.0, 1e-10) == 0.0
 
     def test_forced_depth_sees_narrow_bump(self):
         # a bump whose support misses the nodes of the first coarse estimates
-        f = lambda x: math.exp(-((x - 0.3) / 1e-3) ** 2)
+        f = lambda x: np.exp(-((x - 0.3) / 1e-3) ** 2)
         val = adaptive_simpson(f, 0.0, 1.0, 1e-12)
         assert val == pytest.approx(1e-3 * math.sqrt(math.pi), rel=1e-6)
 
     def test_depth_limit_across_jump_raises(self):
-        # three bisections cannot resolve a jump: no uncertified value comes back
-        jump = lambda x: 0.0 if x < 0.3 else 1.0
-        with pytest.raises(UncertifiedQuadrature, match="depth limit"):
-            adaptive_simpson(jump, 0.0, 1.0, 1e-10, max_depth=3)
+        # no number of bisections resolves a jump: no uncertified value comes back
+        jump = lambda x: np.where(x < 0.3, 0.0, 1.0)
+        with pytest.raises(UncertifiedQuadrature, match="level 48"):
+            adaptive_simpson(jump, 0.0, 1.0, 1e-10)
 
-    def test_depth_limit_on_converged_panels_returns(self):
-        assert adaptive_simpson(lambda x: x ** 3, 0.0, 1.0, 1e-10, max_depth=3) == (
+    def test_depth_limit_on_converged_panels_returns(self, monkeypatch):
+        # the last allowed level still accepts the panels that meet their share
+        monkeypatch.setattr(kernels, "_MAX_LEVEL", kernels._MIN_LEVEL)
+        assert adaptive_simpson(lambda x: x ** 3, 0.0, 1.0, 1e-10) == (
             pytest.approx(0.25, abs=1e-15)
         )
+        with pytest.raises(UncertifiedQuadrature, match="level 6"):
+            adaptive_simpson(np.sqrt, 0.0, 1.0, 1e-10)
+
+    def test_one_call_per_level(self):
+        # 129 nodes of the forced levels, then one array of new nodes per level
+        sizes = []
+
+        def f(x):
+            sizes.append(len(x))
+            return x ** 3
+
+        adaptive_simpson(f, 0.0, 1.0, 1e-10)
+        assert sizes == [129, 128]
+
+    def test_open_panel_cap_raises(self, monkeypatch):
+        # every panel misses an unreachable share: the sweep stops loudly at
+        # the panel cap instead of doubling its arrays up to level 48
+        monkeypatch.setattr(kernels, "_MAX_PANELS", 1 << 10)
+        with pytest.raises(UncertifiedQuadrature, match="open panels"):
+            adaptive_simpson(np.sin, 0.0, 2.0, 1e-300)
 
 
 class TestQuadratureSpec:
@@ -81,6 +151,12 @@ class TestHeatKernel:
             w = 14.0 * math.sqrt(t)
             mass = adaptive_simpson(lambda x: heat_kernel(x, t), -w, w, 1e-12)
             assert mass == pytest.approx(1.0, abs=1e-10)
+
+    def test_array_input(self):
+        xs = np.array([-1.0, 0.0, 2.0])
+        out = heat_kernel(xs, 0.5)
+        assert out.shape == (3,)
+        assert out[2] == heat_kernel(2.0, 0.5)
 
 
 class TestProfileF:
@@ -132,6 +208,11 @@ class TestKernelG:
     def test_nonnegative(self):
         assert all(kernel_G(z) >= 0.0 for z in (-6.0, -1.0, 0.0, 1.0, 6.0))
 
+    def test_tail_cut_above_tolerance_raises(self):
+        # the s-tail below -40 may hold 41 e^-40 ~ 1.7e-16, above this share
+        with pytest.raises(UncertifiedQuadrature, match="s-tail"):
+            kernel_G(0.0, QuadratureSpec(abs_tol=1e-17))
+
 
 class TestEnvelopeRho:
     def test_plateau(self):
@@ -146,6 +227,12 @@ class TestEnvelopeRho:
         v = envelope_rho(L, z)
         assert 0.0 <= v <= 1.0
         assert v == envelope_rho(L, -z)
+
+    def test_array_input(self):
+        zs = np.array([-6.0, 0.0, 4.0, 6.0])
+        out = envelope_rho(4.0, zs)
+        assert out.shape == (4,)
+        assert list(out) == [envelope_rho(4.0, float(z)) for z in zs]
 
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ import pytest
 from scipy import integrate
 
 from mildheat.initial_data import (
+    catalog,
+    from_id,
     make_constant,
     make_gaussian,
     make_log_sine,
@@ -115,6 +117,53 @@ class TestScaledEvolveMany:
             many = scaled_evolve_many(u, xs, t)
             one = np.array([_quadpack_scaled(u, float(x), t) for x in xs])
             assert np.max(np.abs(many - one)) < 1e-9
+
+
+def _nodes_used(u, xs, t):
+    """Datum nodes scaled_evolve_many evaluates for u on xs at time t."""
+    sizes = []
+
+    def ev(x):
+        sizes.append(int(np.size(x)))
+        return u.eval(x)
+
+    scaled_evolve_many(dataclasses.replace(u, eval=ev), xs, t)
+    return sum(sizes)
+
+
+class TestLargeTimes:
+    # data that do not oscillate at 0 vary on the scale z ~ 1/sqrt(t); above
+    # it the engine grades in log z, so huge times certify in few nodes
+    TIMES = (1e10, 1e12, 1e16)
+
+    def test_gaussian_closed_form(self):
+        u = make_gaussian(1.0)
+        xs = np.linspace(-4.0, 4.0, 81)
+        for t in self.TIMES:
+            want = math.sqrt(1.0 / (1.0 + t)) * np.exp(-t * xs ** 2 / (4.0 * (1.0 + t)))
+            assert np.max(np.abs(scaled_evolve_many(u, xs, t) - want)) <= 2e-10
+
+    def test_sub_log_matches_quadpack(self):
+        u = make_sub_log(0.5)
+        xs = np.array([-3.0, -0.5, 0.0, 1.0, 2.5])
+        for t in self.TIMES:
+            one = np.array([_quadpack_scaled(u, float(x), t) for x in xs])
+            assert np.max(np.abs(scaled_evolve_many(u, xs, t) - one)) <= 1e-9
+
+    @pytest.mark.parametrize("datum_id", catalog())
+    def test_catalog_certifies_up_to_1e16(self, datum_id):
+        u = from_id(datum_id)
+        xs = np.linspace(-4.0, 4.0, 41)
+        for t in self.TIMES:
+            assert np.all(np.abs(scaled_evolve_many(u, xs, t)) <= u.sup_norm + 1e-9)
+
+    def test_node_count_does_not_grow_with_time(self):
+        xs = np.linspace(-4.0, 4.0, 41)
+        u = make_gaussian(1.0)
+        assert _nodes_used(u, xs, 1e16) <= _nodes_used(u, xs, 1e4)
+        # the log-z segment lengthens like log t: one more doubling at most
+        u = make_sub_log(0.5)
+        assert _nodes_used(u, xs, 1e16) <= 2 * _nodes_used(u, xs, 1e4)
 
 
 class TestOneSidedLimits:
