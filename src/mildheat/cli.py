@@ -16,11 +16,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Desk-scale experiments for heat and curvature-flow "
         "evolution of slowly oscillating data",
     )
-    p.add_argument(
-        "--seedless",
-        action="store_true",
-        help="reserved; the toolkit is already fully deterministic",
-    )
     sub = p.add_subparsers(dest="verb", required=True)
 
     sub.add_parser("list-data", help="list catalog datum ids")
@@ -78,9 +73,6 @@ def _run_one(path: str, out_dir: str | None, tol: float | None) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seedless:
-        print("config-error: --seedless is reserved and must not be set")
-        return 2
 
     if args.verb == "list-data":
         for datum_id in initial_data.catalog():

@@ -16,7 +16,7 @@ import numpy as np
 
 from .initial_data import InitialDatum
 from .kernels import DEFAULT_SPEC, SQRT_PI, QuadratureSpec, envelope_rho, kernel_G, profile_F
-from .semigroup import _one_sided, _positive_interval, scaled_evolve, scaled_evolve_many
+from .semigroup import _halfline_integral, _one_sided, scaled_evolve, scaled_evolve_many
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class ProfileErrorReport:
     sup_error: float
     coeff_left: float   # u0(-sqrt(t))
     coeff_right: float  # u0(+sqrt(t))
-    envelope_bound: float | None = None
 
     def __post_init__(self) -> None:
         if self.t <= 0 or self.L <= 0:
@@ -70,17 +69,13 @@ def profile_error(
     t: float,
     n: int = 401,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    with_envelope_bound: bool = False,
 ) -> ProfileErrorReport:
     """Measure the profile error with the natural coefficients u0(+-sqrt(t))."""
     st = math.sqrt(t)
     a = float(u0.eval(-st))
     b = float(u0.eval(st))
     sup = sup_profile_error(u0, a, b, L, t, n, spec)
-    bound = envelope_bound(u0, a, b, L, t, spec) if with_envelope_bound else None
-    return ProfileErrorReport(
-        t=t, L=L, sup_error=sup, coeff_left=a, coeff_right=b, envelope_bound=bound
-    )
+    return ProfileErrorReport(t=t, L=L, sup_error=sup, coeff_left=a, coeff_right=b)
 
 
 def envelope_bound(
@@ -110,9 +105,7 @@ def envelope_bound(
 
     bound = 2.0 * u0.sup_norm + abs(a) + abs(b)
     tol = spec.abs_tol * 2.0 * SQRT_PI
-    val = _positive_interval(
-        g, 0.0, L + spec.tail_radius, tol, u0.oscillates_at_zero, bound
-    )
+    val = _halfline_integral(u0, g, 0.0, L + spec.tail_radius, st, tol, bound)
     return val / (2.0 * SQRT_PI)
 
 

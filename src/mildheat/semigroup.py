@@ -9,12 +9,13 @@ u(sqrt(t) x, t) is the pair of half-line integrals
 so no huge physical coordinate is ever formed.  Each half-line integrand
 reads the datum through its one-sided limit at the origin (see
 :func:`_one_sided`), so a jump at 0, as in step data, stays outside both
-integrands and every panel sees a smooth function.  Data that oscillate
-infinitely often near the origin are integrated after the substitution
-z = e^s on the panel touching 0, which turns the oscillation into a smooth,
-exponentially damped integrand.  Other data vary on the scale z ~ 1/sqrt(t)
-there, so above 1/sqrt(t) they take the same substitution: every catalog
-datum certifies at arbitrarily large t (tested to 1e16).
+integrands and every panel sees a smooth function.  :func:`_halfline_plan`
+alone decides, for the heat evolutions, the window averages and the
+envelope bound, where a half-line is cut, which pieces are taken in
+s = log z and how the tolerance is shared, dropped s-tail included.  The
+substitution turns an oscillation at the origin into a smooth, exponentially
+damped integrand and grades data that vary on the scale z ~ 1/sqrt(t), so
+every catalog datum certifies at arbitrarily large t (tested to 1e16).
 
 One engine, :func:`scaled_evolve_many`, computes every heat evolution: it
 takes an array of points, refines composite Simpson by doubling until the
@@ -46,6 +47,12 @@ from .kernels import (
 _TINY = float(np.finfo(float).tiny)
 # points x nodes in one Gaussian block of the heat engine: bounds its memory
 _BLOCK = 1 << 14
+# panels of a heat segment's first Simpson level, and the count at which a
+# segment still uncertified raises
+_FIRST_PANELS, _PANEL_CAP = 256, 1 << 17
+# the dropped s-tail's budget, as a fraction of a segment's share: lowering
+# s_lo by log 16 costs fewer nodes than shrinking every share
+_TAIL_PART = 1.0 / 16.0
 
 
 @dataclass(frozen=True)
@@ -88,36 +95,50 @@ def _one_sided(u0: InitialDatum, sign: float, y):
     return u0.eval(sign * np.where(y == 0, _TINY, y))
 
 
-def _positive_interval(g, a, b, tol, oscillatory, bound):
-    """Integral of g over (a, b], 0 <= a < b, g possibly oscillating near 0.
+def _halfline_plan(u0: InitialDatum, a, b, scale, tol, bound):
+    """Segments covering [a, b], 0 <= a < b, of a half-line integral of u0(scale z).
 
-    g maps arrays to arrays.  Oscillatory integrands are handled on the
-    sub-interval below 1 by the substitution z = e^s; bound must dominate |g|
-    near the origin so the truncated s-tail (only needed when a = 0) stays
-    below tol.  The rest is split at 1.
+    The interval is cut at 1.  Below it, data that oscillate at the origin are
+    taken in s = log z; other data with a nonzero slope bound vary on the
+    scale z ~ 1/scale, so they are also cut at 1/scale and taken in s = log z
+    between 1/scale and 1; data constant on each side stay linear.  A log
+    segment that reaches down to z = 0 is truncated at s_lo, and the dropped
+    piece, at most bound * e^{s_lo} when bound dominates the integrand near
+    0, takes _TAIL_PART of a segment's share, so the shares plus that tail
+    sum to tol.  Returns ((kind, lo, hi), share) pairs: kind "lin" covers
+    z in [lo, hi], kind "log" covers s = log z in [lo, hi].
     """
-    if b <= a:
-        return 0.0
-    val = 0.0
-    lo = a
-    if oscillatory and a < 1.0:
-        cut = min(1.0, b)
-        s_hi = math.log(cut)
-        if a == 0.0:
-            s_lo = math.log(tol / max(1.0, bound)) - 1.0
+    if u0.oscillates_at_zero:
+        log_from = 0.0
+    elif u0.sup_left > 0 or u0.sup_right > 0:
+        log_from = min(1.0, 1.0 / scale)
+    else:
+        log_from = 1.0
+    ends = [a, *sorted({c for c in (log_from, 1.0) if a < c < b}), b]
+    spans = list(zip(ends, ends[1:]))
+    tail = log_from == a == 0.0  # the first log segment drops its s-tail
+    share = tol / (len(spans) + tail * _TAIL_PART)
+    segments = []
+    for lo, hi in spans:
+        if log_from <= lo and hi <= 1.0:
+            s_lo = math.log(lo) if lo > 0 else math.log(_TAIL_PART * share / bound)
+            segments.append((("log", s_lo, math.log(hi)), share))
         else:
-            s_lo = math.log(a)
-        if s_lo < s_hi:
-            val += adaptive_simpson(
-                lambda s: g(np.exp(s)) * np.exp(s), s_lo, s_hi, 0.5 * tol
-            )
-        lo = cut
-        tol = 0.5 * tol
-    if b > lo:
-        pts = [lo, 1.0, b] if lo < 1.0 < b else [lo, b]
-        share = tol / (len(pts) - 1)
-        val += sum(adaptive_simpson(g, p, q, share) for p, q in zip(pts, pts[1:]))
-    return val
+            segments.append((("lin", lo, hi), share))
+    return segments
+
+
+def _halfline_integral(u0: InitialDatum, g, a, b, scale, tol, bound):
+    """int_a^b g(z) dz to tol, by adaptive_simpson on _halfline_plan's segments.
+
+    g maps arrays to arrays and reads u0 at scale * z; bound dominates |g|
+    near 0.
+    """
+    total = 0.0
+    for (kind, lo, hi), share in _halfline_plan(u0, a, b, scale, tol, bound):
+        f = g if kind == "lin" else (lambda s: g(np.exp(s)) * np.exp(s))
+        total += adaptive_simpson(f, lo, hi, share)
+    return total
 
 
 def scaled_evolve(
@@ -135,14 +156,10 @@ def scaled_evolve_many(
 ) -> np.ndarray:
     """u(sqrt(t) x, t) at an array of similarity points x, in input order.
 
-    Each half-line is split at cut = min(1, upper) into segments, and each
-    segment is certified to its share of spec.abs_tol by
-    _refined_halfline_segment.  Below cut, data oscillating at 0 are taken in
-    s = log z; other data, when 1/sqrt(t) < cut, are taken linearly on
-    [0, 1/sqrt(t)] and in s = log z on [1/sqrt(t), cut], so the node count
-    grows at most like log t.
-    The points are sorted once, so each node sums only into the points
-    within spec.tail_radius of it.
+    Each half-line [0, upper] is split by _halfline_plan at scale sqrt(t),
+    and each segment is certified to its share of spec.abs_tol by
+    _refined_halfline_segment.  The points are sorted once, so each node
+    sums only into the points within spec.tail_radius of it.
     """
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
@@ -157,20 +174,9 @@ def scaled_evolve_many(
         # xi = sign * x in ascending order
         xi = x if sign > 0 else -x[::-1]
         upper = max(0.0, float(xi[-1])) + w
-        cut = min(1.0, upper)
-        if u0.oscillates_at_zero:
-            s_lo = math.log(spec.abs_tol / max(1.0, u0.sup_norm)) - 1.0
-            segments = [("log", s_lo, math.log(cut))]
-        elif st * cut > 1.0:
-            # the datum varies on the scale z ~ 1/sqrt(t): grade in log z above it
-            segments = [("lin", 0.0, 1.0 / st), ("log", -math.log(st), math.log(cut))]
-        else:
-            segments = [("lin", 0.0, cut)]
-        if upper > cut:
-            segments.append(("lin", cut, upper))
-        # per segment: both sides' errors over 2 sqrt(pi) total abs_tol
-        tol = spec.abs_tol * SQRT_PI / len(segments)
-        for kind, a, b in segments:
+        # both sides' errors over 2 sqrt(pi) total abs_tol
+        plan = _halfline_plan(u0, 0.0, upper, st, spec.abs_tol * SQRT_PI, u0.sup_norm)
+        for (kind, a, b), tol in plan:
             part = _refined_halfline_segment(u0, xi, st, sign, kind, a, b, tol, w)
             acc += part if sign > 0 else part[::-1]
     out = np.empty_like(acc)
@@ -178,18 +184,17 @@ def scaled_evolve_many(
     return out
 
 
-def _refined_halfline_segment(u0, xi, st, sign, kind, a, b, tol, w,
-                              n0=256, n_max=1 << 17):
+def _refined_halfline_segment(u0, xi, st, sign, kind, a, b, tol, w):
     """Certified int_a^b e^{-(xi - z)^2/4} u0(sign st z) dz at ascending xi.
 
     kind "log" integrates in s = log z over [a, b] instead.  Composite
-    Simpson doubles its panel count n from n0, each level built from the
-    trapezoid sum T and the midpoint sum M of the level before:
+    Simpson doubles its panel count n from _FIRST_PANELS, each level built
+    from the trapezoid sum T and the midpoint sum M of the level before:
     S_2m = (T_m + 2 M_m)/3 and T_2m = (T_m + M_m)/2, so a level evaluates
     the datum and the Gaussian only at its new midpoints.  Returns
     S_n + (S_n - S_{n/2})/15 once max |S_n - S_{n/2}| <= 15 tol (the
-    Richardson certificate); raises UncertifiedQuadrature if n reaches n_max
-    first.
+    Richardson certificate); raises UncertifiedQuadrature if n reaches
+    _PANEL_CAP first.
     """
 
     def node_sum(p, weight):
@@ -197,7 +202,7 @@ def _refined_halfline_segment(u0, xi, st, sign, kind, a, b, tol, w,
         q = np.asarray(_one_sided(u0, sign, st * z), dtype=float) * weight
         return _gauss_sum(xi, z, q * z if kind == "log" else q, w)
 
-    m = n0 // 2
+    m = _FIRST_PANELS // 2
     h = (b - a) / m
     ends = np.full(m + 1, h)
     ends[[0, -1]] *= 0.5
@@ -212,7 +217,7 @@ def _refined_halfline_segment(u0, xi, st, sign, kind, a, b, tol, w,
             err = float(np.max(np.abs(delta)))
             if err <= 15.0 * tol:
                 return s + delta / 15.0
-            if n >= n_max:
+            if n >= _PANEL_CAP:
                 raise UncertifiedQuadrature(
                     f"{u0.id}: {kind} segment [{a!r}, {b!r}] on side "
                     f"{sign:+g} reached {n} panels with estimate "
@@ -283,8 +288,8 @@ def sliding_average(
              ((-1.0, max(0.0, -hi), -lo), (1.0, max(0.0, lo), hi)) if a < b]
     tol = spec.abs_tol * 2.0 * R / len(sides)
     val = sum(
-        _positive_interval(partial(_one_sided, u0, sign), a, b, tol,
-                           u0.oscillates_at_zero, u0.sup_norm)
+        _halfline_integral(u0, partial(_one_sided, u0, sign), a, b, 1.0, tol,
+                           u0.sup_norm)
         for sign, a, b in sides
     )
     return val / (2.0 * R)

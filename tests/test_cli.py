@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from mildheat.cli import main
 from mildheat.initial_data import catalog
 
@@ -15,8 +17,11 @@ class TestListData:
 
 class TestSeedless:
     def test_flag_is_rejected(self, capsys):
-        assert main(["--seedless", "list-data"]) == 2
-        assert "config-error" in capsys.readouterr().out
+        # no such option: argparse exits with its usage-error code 2
+        with pytest.raises(SystemExit) as exc:
+            main(["--seedless", "list-data"])
+        assert exc.value.code == 2
+        assert "--seedless" in capsys.readouterr().err
 
 
 class TestOracle:

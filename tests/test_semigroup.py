@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import erf, erfc
 
 from mildheat.initial_data import (
     catalog,
@@ -14,9 +15,17 @@ from mildheat.initial_data import (
     make_step,
     make_sub_log,
 )
-from mildheat.kernels import QuadratureSpec, UncertifiedQuadrature, profile_F
+from mildheat import semigroup
+from mildheat.kernels import (
+    DEFAULT_SPEC,
+    QuadratureSpec,
+    UncertifiedQuadrature,
+    profile_F,
+)
+from mildheat.profile_bounds import envelope_bound
 from mildheat.semigroup import (
     GridFunction,
+    _halfline_plan,
     _one_sided,
     _refined_halfline_segment,
     evolve,
@@ -165,6 +174,36 @@ class TestLargeTimes:
         u = make_sub_log(0.5)
         assert _nodes_used(u, xs, 1e16) <= 2 * _nodes_used(u, xs, 1e4)
 
+    @pytest.mark.parametrize("datum_id", ["step:-1.5,2", "constant:0.5"])
+    def test_constant_sided_data_cost_the_same_at_every_time(self, datum_id):
+        # nothing varies on the scale 1/sqrt(t), so nothing is graded
+        u = from_id(datum_id)
+        xs = np.linspace(-4.0, 4.0, 41)
+        assert _nodes_used(u, xs, 1e16) == _nodes_used(u, xs, 1e-2)
+
+
+class TestHalflinePlan:
+    @pytest.mark.parametrize("datum_id", catalog())
+    def test_segments_tile_and_budget_holds(self, datum_id):
+        # the segments cover [a, b] end to end, and the shares plus the
+        # dropped s-tail below the first log segment, at most bound * e^{s_lo}
+        # when it starts from z = 0, sum to at most tol
+        u = from_id(datum_id)
+        tol, bound = 1e-10, 2.5
+        for t in (1e-2, 1.0, 1e4, 1e16):
+            for a, b in ((0.0, 18.0), (0.0, 0.5), (0.25, 7.0)):
+                plan = _halfline_plan(u, a, b, math.sqrt(t), tol, bound)
+                ends = [(lo, hi) if kind == "lin" else (math.exp(lo), math.exp(hi))
+                        for (kind, lo, hi), _ in plan]
+                kind, s_lo, _ = plan[0][0]
+                tail = bound * math.exp(s_lo) if kind == "log" and a == 0.0 else 0.0
+                assert ends[0][0] == a or tail
+                assert ends[-1][1] == pytest.approx(b, rel=1e-15)
+                for (_, hi), (lo, _) in zip(ends, ends[1:]):
+                    assert lo == pytest.approx(hi, rel=1e-15)
+                assert all(lo < hi for lo, hi in ends)
+                assert sum(share for _, share in plan) + tail <= tol * (1.0 + 1e-12)
+
 
 class TestOneSidedLimits:
     def test_step_reads_its_side_at_the_origin(self):
@@ -195,13 +234,13 @@ class TestOneSidedLimits:
         assert sizes
         assert (1 << 17) + 1 not in sizes
 
-    def test_node_cap_raises(self):
+    def test_node_cap_raises(self, monkeypatch):
         # sub_log at t = 1e8 needs far more than 512 panels next to its kink
+        monkeypatch.setattr(semigroup, "_PANEL_CAP", 512)
         xs = np.linspace(-4.0, 4.0, 41)
         with pytest.raises(UncertifiedQuadrature, match="512 panels"):
             _refined_halfline_segment(
-                make_sub_log(0.5), xs, 1e4, 1.0, "lin", 0.0, 1.0, 1e-10, 14.0,
-                n_max=512,
+                make_sub_log(0.5), xs, 1e4, 1.0, "lin", 0.0, 1.0, 1e-10, 14.0
             )
 
 
@@ -266,6 +305,46 @@ class TestSlidingAverage:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             sliding_average(make_constant(1.0), 0.0, 0.0)
+
+    def test_closed_forms_within_abs_tol(self):
+        tol = DEFAULT_SPEC.abs_tol
+        u = make_log_sine()
+        for R in (1e-3, 0.3, 10.0, 1e4):
+            want = 0.5 * (math.sin(math.log(R)) - math.cos(math.log(R)))
+            assert abs(sliding_average(u, 0.0, R) - want) <= tol
+        # (1/(2R)) int_{-R}^{R} e^{-y^2/4} dy = sqrt(pi) erf(R/2)/R
+        u = make_gaussian(1.0)
+        for R in (0.5, 3.0, 100.0):
+            want = math.sqrt(math.pi) * erf(0.5 * R) / R
+            assert abs(sliding_average(u, 0.0, R) - want) <= tol
+
+
+class TestEnvelopeBoundClosedForms:
+    # (1/(2 sqrt(pi))) int_0^inf rho_L(z) (|u0(-sqrt(t) z)| + |u0(sqrt(t) z)|) dz
+    # with zero constants, in closed form
+    L = 4.0
+    TIMES = (1e-2, 1.0, 1e4, 1e16)
+
+    def test_step(self):
+        # |0| + |1| under rho_L: L + int_0^inf e^{-d^2/4} dd = L + sqrt(pi)
+        want = self.L / (2.0 * math.sqrt(math.pi)) + 0.5
+        for t in self.TIMES:
+            got = envelope_bound(make_step(0.0, 1.0), 0.0, 0.0, self.L, t)
+            assert abs(got - want) <= DEFAULT_SPEC.abs_tol
+
+    def test_gaussian(self):
+        # 2 e^{-t z^2/4} below L; above it, complete the square of
+        # (z - L)^2 + t z^2 about c = L/(1 + t)
+        L = self.L
+        for t in self.TIMES:
+            inner = 2.0 * math.sqrt(math.pi / t) * erf(0.5 * L * math.sqrt(t))
+            c = L / (1.0 + t)
+            outer = (2.0 * math.exp(-L * L * t / (4.0 * (1.0 + t)))
+                     * math.sqrt(math.pi / (1.0 + t))
+                     * erfc(0.5 * math.sqrt(1.0 + t) * (L - c)))
+            want = (inner + outer) / (2.0 * math.sqrt(math.pi))
+            got = envelope_bound(make_gaussian(1.0), 0.0, 0.0, L, t)
+            assert abs(got - want) <= DEFAULT_SPEC.abs_tol
 
 
 class TestRescaledResidual:
