@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .initial_data import DecayClass, InitialDatum
 from .kernels import DEFAULT_SPEC, QuadratureSpec
@@ -190,6 +189,10 @@ def flow_profile_error(
     ladder = tuple(t_ladder)
     if any(t > cfg.t_final for t in ladder):
         raise ValueError("ladder times exceed the solver horizon t_final")
+    # imported here: scipy.interpolate is the slowest import of the package,
+    # and no other caller needs it
+    from scipy.interpolate import CubicSpline
+
     run_cfg = replace(cfg, record_times=ladder)
     snaps = solve_cf(u0, run_cfg)
     xs = run_cfg.nodes()

@@ -25,6 +25,19 @@ the points within the Gaussian window spec.tail_radius of it.  It raises
 node cap uncertified.  :func:`scaled_evolve`, :func:`evolve` and
 :func:`evolve_on_grid` are the same computation at one point or at
 physical coordinates.
+
+For a fixed node set a level's Gaussian sum is an entire function of x, so
+the engine cuts the sorted points once per call into cells at most _CELL = 7
+units wide (:func:`_cells`), as in the local expansions of Greengard &
+Strain's fast Gauss transform.  A cell of more than 2 _TARGETS points is
+summed at its _TARGETS = 36 first-kind Chebyshev targets and interpolated to
+its points by a barycentric matrix built once per call; other cells are
+summed at their points.  Cramer's inequality for Hermite functions bounds
+the interpolation error by coef * sum_j |c_j| (7.6e-18 sum_j |c_j| on a full
+cell); a level whose bound exceeds _INTERP_PART of its segment's share is
+summed at the points instead, and the bound is charged to the Richardson
+certificate, so refinement levels and node counts are those of the direct
+sum.
 """
 
 from __future__ import annotations
@@ -53,6 +66,13 @@ _FIRST_PANELS, _PANEL_CAP = 256, 1 << 17
 # the dropped s-tail's budget, as a fraction of a segment's share: lowering
 # s_lo by log 16 costs fewer nodes than shrinking every share
 _TAIL_PART = 1.0 / 16.0
+# the heat engine cuts its sorted points into cells spanning at most _CELL
+# similarity units; a cell of more than 2 _TARGETS points is summed at
+# _TARGETS Chebyshev targets and interpolated, while a level's interpolation
+# bound fits _INTERP_PART of the segment's share
+_CELL, _TARGETS, _INTERP_PART = 7.0, 36, 1.0 / 64.0
+# Cramer's constant, rounded up: |H_n(v)| e^{-v^2/2} <= k 2^{n/2} sqrt(n!)
+_CRAMER = 1.0865
 
 
 @dataclass(frozen=True)
@@ -158,49 +178,66 @@ def scaled_evolve_many(
 
     Each half-line [0, upper] is split by _halfline_plan at scale sqrt(t),
     and each segment is certified to its share of spec.abs_tol by
-    _refined_halfline_segment.  The points are sorted once, so each node
-    sums only into the points within spec.tail_radius of it.
+    _refined_halfline_segment.  The points are sorted and cut into cells
+    once (_cells), so each node sums only into the cells within
+    spec.tail_radius of it, and both sides share the cells: the side
+    z < 0 is the Gaussian sum at x over the mirrored nodes -z.
     """
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     xs = np.asarray(xs, dtype=float)
     order = np.argsort(xs)
     x = xs[order]
+    cells = _cells(x)
     st = math.sqrt(t)
     w = spec.tail_radius
     acc = np.zeros_like(x)
     for sign in (-1.0, 1.0):
-        # Gaussian factor exp(-(xi - z)^2/4) on the half-line z > 0, with
-        # xi = sign * x in ascending order
-        xi = x if sign > 0 else -x[::-1]
-        upper = max(0.0, float(xi[-1])) + w
+        upper = max(0.0, float(x[-1] if sign > 0 else -x[0])) + w
         # both sides' errors over 2 sqrt(pi) total abs_tol
         plan = _halfline_plan(u0, 0.0, upper, st, spec.abs_tol * SQRT_PI, u0.sup_norm)
         for (kind, a, b), tol in plan:
-            part = _refined_halfline_segment(u0, xi, st, sign, kind, a, b, tol, w)
-            acc += part if sign > 0 else part[::-1]
+            acc += _refined_halfline_segment(u0, x, cells, st, sign, kind, a, b, tol, w)
     out = np.empty_like(acc)
     out[order] = acc / (2.0 * SQRT_PI)
     return out
 
 
-def _refined_halfline_segment(u0, xi, st, sign, kind, a, b, tol, w):
-    """Certified int_a^b e^{-(xi - z)^2/4} u0(sign st z) dz at ascending xi.
+def _refined_halfline_segment(u0, x, cells, st, sign, kind, a, b, tol, w):
+    """Certified int_a^b e^{-(x - sign z)^2/4} u0(sign st z) dz at ascending x.
 
-    kind "log" integrates in s = log z over [a, b] instead.  Composite
-    Simpson doubles its panel count n from _FIRST_PANELS, each level built
-    from the trapezoid sum T and the midpoint sum M of the level before:
-    S_2m = (T_m + 2 M_m)/3 and T_2m = (T_m + M_m)/2, so a level evaluates
-    the datum and the Gaussian only at its new midpoints.  Returns
-    S_n + (S_n - S_{n/2})/15 once max |S_n - S_{n/2}| <= 15 tol (the
-    Richardson certificate); raises UncertifiedQuadrature if n reaches
-    _PANEL_CAP first.
+    cells is _cells(x).  kind "log" integrates in s = log z over [a, b]
+    instead.  Composite Simpson doubles its panel count n from
+    _FIRST_PANELS, each level built from the trapezoid sum T and the
+    midpoint sum M of the level before: S_2m = (T_m + 2 M_m)/3 and
+    T_2m = (T_m + M_m)/2, so a level evaluates the datum and the Gaussian
+    only at its new midpoints.  Each level's Gaussian sum is interpolated
+    on the dense cells when its bound eps fits _INTERP_PART of tol, and is
+    summed at every point otherwise.  T, M and S inherit the largest eps of
+    the levels they are built from, which moves the Richardson estimate by
+    at most 2 eps/15 and the returned value by 17 eps/15.  Returns
+    S_n + (S_n - S_{n/2})/15 once max |S_n - S_{n/2}| + 19 eps <= 15 tol
+    (the Richardson certificate with the interpolation charged); raises
+    UncertifiedQuadrature if n reaches _PANEL_CAP first.
     """
+    cut, coef = cells
+    eps = 0.0
 
     def node_sum(p, weight):
+        # weight is a scalar or symmetric, so on the side z < 0 the nodes
+        # run from b down to a and the mirrored nodes -z ascend
+        nonlocal eps
         z = np.exp(p) if kind == "log" else p
+        if sign < 0:
+            z = z[::-1]
         q = np.asarray(_one_sided(u0, sign, st * z), dtype=float) * weight
-        return _gauss_sum(xi, z, q * z if kind == "log" else q, w)
+        if kind == "log":
+            q *= z
+        bound = coef * float(np.sum(np.abs(q))) if coef else 0.0
+        interp = bound <= _INTERP_PART * tol
+        if interp:
+            eps = max(eps, bound)
+        return _gauss_sum(x, z if sign > 0 else -z, q, w, cut, interp)
 
     m = _FIRST_PANELS // 2
     h = (b - a) / m
@@ -215,7 +252,7 @@ def _refined_halfline_segment(u0, xi, st, sign, kind, a, b, tol, w):
         if prev is not None:
             delta = s - prev
             err = float(np.max(np.abs(delta)))
-            if err <= 15.0 * tol:
+            if err + 19.0 * eps <= 15.0 * tol:
                 return s + delta / 15.0
             if n >= _PANEL_CAP:
                 raise UncertifiedQuadrature(
@@ -228,26 +265,84 @@ def _refined_halfline_segment(u0, xi, st, sign, kind, a, b, tol, w):
         m, h = n, 0.5 * h
 
 
-def _gauss_sum(xi, z, c, w):
-    """sum_j c_j e^{-(xi_i - z_j)^2/4} over the nodes z_j within w of xi_i.
+def _cells(x):
+    """Cut ascending points x into cells, each spanning at most _CELL.
 
-    xi and z ascending.  Runs of points spanning at most w/2 are summed
-    against the contiguous node range within w of the run, in blocks of at
-    most _BLOCK points x nodes.
+    Returns (cut, coef).  cut lists (i, e, targets, bary) for the cell
+    x[i:e].  A cell of more than 2 _TARGETS points and of nonzero span
+    [lo, hi] carries the _TARGETS first-kind Chebyshev points of [lo, hi]
+    as targets and the matrix bary that maps values at the targets to the
+    barycentric interpolant at x[i:e] (Berrut & Trefethen 2004, with the
+    weights (-1)^k sin theta_k); a point on a target copies that target.
+    Other cells carry None and are summed at their points.
+
+    With r = _TARGETS and half-width l, f(x) = sum_j c_j e^{-(x - z_j)^2/4}
+    has |f^(r)| <= k 2^{-r/2} sqrt(r!) sum_j |c_j| (Cramer's inequality,
+    k = _CRAMER), so interpolation at the targets is off by at most
+    coef * sum_j |c_j|, coef = 2 k l^r / (2^{1.5 r} sqrt(r!)) at the
+    largest l of the interpolated cells (7.6e-18 at l = _CELL/2).
     """
-    out = np.zeros_like(xi)
+    r = _TARGETS
+    cut, half = [], 0.0
     i = 0
-    while i < len(xi):
-        e = min(int(np.searchsorted(xi, xi[i] + 0.5 * w, "right")), i + _BLOCK)
-        lo, hi = np.searchsorted(z, (xi[i] - w, xi[e - 1] + w))
-        step = _BLOCK // (e - i)
-        for k in range(lo, hi, step):
-            nodes = slice(k, min(k + step, hi))
-            d = xi[i:e, None] - z[None, nodes]
-            d *= d
-            d *= -0.25
-            out[i:e] += np.exp(d, out=d) @ c[nodes]
+    while i < len(x):
+        e = int(np.searchsorted(x, x[i] + _CELL, "right"))
+        mid, ell = 0.5 * (x[e - 1] + x[i]), 0.5 * (x[e - 1] - x[i])
+        # the targets carry the rounding eps |mid| of the cell's position,
+        # which must stay far below their smallest gap, about 2e-3 ell
+        if e - i > 2 * r and ell > 1e-6 * max(1.0, abs(mid)):
+            theta = (2.0 * np.arange(r) + 1.0) * (0.5 * math.pi / r)
+            targets = mid + ell * np.cos(theta)
+            weights = np.where(np.arange(r) % 2, -1.0, 1.0) * np.sin(theta)
+            bary = x[i:e, None] - targets
+            near = np.argmin(np.abs(bary), axis=1)
+            hit = np.abs(bary[np.arange(e - i), near]) <= _TINY
+            bary[hit] = np.inf
+            np.divide(weights, bary, out=bary)
+            bary[hit, near[hit]] = 1.0
+            bary /= np.sum(bary, axis=1, keepdims=True)
+            cut.append((i, e, targets, bary))
+            half = max(half, ell)
+        else:
+            cut.append((i, e, None, None))
         i = e
+    coef = 2.0 * _CRAMER * half ** r / (2.0 ** (1.5 * r) * math.sqrt(math.factorial(r)))
+    return cut, coef
+
+
+def _gauss_sum(x, z, c, w, cut, interp):
+    """sum_j c_j e^{-(x_i - z_j)^2/4} over the nodes z_j within w of x_i's cell.
+
+    x and z ascending; cut is the first item of _cells(x).  Each cell
+    [lo, hi] takes the contiguous nodes in [lo - w, hi + w].  With interp,
+    set when the caller's bound coef * sum_j |c_j| fits its share, a cell
+    with targets is summed at its _TARGETS targets and its bary matrix
+    carries the sums to its points; other cells are summed at their points.
+    """
+    out = np.zeros_like(x)
+    for i, e, targets, bary in cut:
+        lo, hi = np.searchsorted(z, (x[i] - w, x[e - 1] + w))
+        if interp and bary is not None:
+            at_targets = _window_sum(targets, z[lo:hi], c[lo:hi], np.zeros(len(targets)))
+            out[i:e] = bary @ at_targets
+            continue
+        for j in range(i, e, _BLOCK):
+            k = min(j + _BLOCK, e)
+            _window_sum(x[j:k], z[lo:hi], c[lo:hi], out[j:k])
+    return out
+
+
+def _window_sum(y, z, c, out):
+    """Add sum_j c_j e^{-(y_i - z_j)^2/4} over all j to out and return it.
+
+    Blocks of at most _BLOCK points x nodes bound the memory.
+    """
+    step = _BLOCK // len(y)
+    for k in range(0, len(z), step):
+        d = y[:, None] - z[None, k:k + step]
+        d *= d
+        d *= -0.25
+        out += np.exp(d, out=d) @ c[k:k + step]
     return out
 
 

@@ -25,6 +25,7 @@ from mildheat.kernels import (
 from mildheat.profile_bounds import envelope_bound
 from mildheat.semigroup import (
     GridFunction,
+    _cells,
     _halfline_plan,
     _one_sided,
     _refined_halfline_segment,
@@ -240,8 +241,89 @@ class TestOneSidedLimits:
         xs = np.linspace(-4.0, 4.0, 41)
         with pytest.raises(UncertifiedQuadrature, match="512 panels"):
             _refined_halfline_segment(
-                make_sub_log(0.5), xs, 1e4, 1.0, "lin", 0.0, 1.0, 1e-10, 14.0
+                make_sub_log(0.5), xs, _cells(xs), 1e4, 1.0, "lin", 0.0, 1.0,
+                1e-10, 14.0,
             )
+
+
+def _gaussian_scaled(xs, t, s=1.0):
+    """u(sqrt(t) x, t) for u0 = e^{-x^2/(4s)}: sqrt(s/(s+t)) e^{-t x^2/(4(s+t))}."""
+    return math.sqrt(s / (s + t)) * np.exp(-t * np.asarray(xs) ** 2 / (4.0 * (s + t)))
+
+
+class TestCompressedCells:
+    # dense cells are summed at Chebyshev targets and interpolated; every
+    # check is against a closed form, never against the engine itself
+
+    def test_coincident_points(self):
+        xs = np.full(100, 0.7)
+        got = scaled_evolve_many(make_gaussian(1.0), xs, 2.0)
+        assert np.max(np.abs(got - _gaussian_scaled(xs, 2.0))) <= 2e-10
+
+    def test_points_on_the_targets(self):
+        # a cell spanning [0.5, 6.5] whose grid holds each of its targets
+        grid = np.linspace(0.5, 6.5, 81)
+        (_, _, targets, _), = _cells(grid)[0]
+        xs = np.sort(np.concatenate([grid, targets]))
+        (_, _, same, _), = _cells(xs)[0]
+        assert np.array_equal(same, targets) and np.all(np.isin(targets, xs))
+        for t in (0.5, 3.0):
+            got = scaled_evolve_many(make_gaussian(1.0), xs, t)
+            assert np.max(np.abs(got - _gaussian_scaled(xs, t))) <= 2e-10
+        got = scaled_evolve_many(make_step(-1.5, 2.0), xs, 3.0)
+        want = -1.5 * profile_F(-xs) + 2.0 * profile_F(xs)
+        assert np.max(np.abs(got - want)) <= 2e-10
+
+    def test_dense_cell_next_to_sparse_cell(self):
+        xs = np.concatenate([np.linspace(-3.0, 3.0, 301), np.linspace(5.0, 11.0, 7)])
+        cut, _ = _cells(xs)
+        assert [bary is None for *_, bary in cut] == [False, True]
+        shuffled = np.random.default_rng(5).permutation(xs)
+        for t in (1e-2, 2.0, 1e6):
+            got = scaled_evolve_many(make_gaussian(1.0), shuffled, t)
+            assert np.max(np.abs(got - _gaussian_scaled(shuffled, t))) <= 2e-10
+            got = scaled_evolve_many(make_step(0.0, 1.0), shuffled, t)
+            assert np.max(np.abs(got - profile_F(shuffled))) <= 2e-10
+
+    def test_wide_tail_radius_on_a_dense_grid(self):
+        # cells keep their width whatever the tail radius: cells of half the
+        # radius interpolate 5e-12 off at t = 2, seen only below 1e-11
+        xs = np.linspace(-20.0, 20.0, 2001)
+        for abs_tol in (1e-10, 1e-13):
+            spec = QuadratureSpec(abs_tol=abs_tol, tail_radius=30.0)
+            for t in (0.3, 2.0):
+                got = scaled_evolve_many(make_gaussian(1.0), xs, t, spec)
+                assert np.max(np.abs(got - _gaussian_scaled(xs, t))) <= 2 * abs_tol
+
+    def test_few_targets_fall_back_to_the_points(self, monkeypatch):
+        # 8 targets over 7 units interpolate far above any share, so the
+        # bound sends every level to the direct sum
+        monkeypatch.setattr(semigroup, "_TARGETS", 8)
+        xs = np.linspace(-4.0, 4.0, 401)
+        for t in (1e-2, 2.0):
+            got = scaled_evolve_many(make_gaussian(1.0), xs, t)
+            assert np.max(np.abs(got - _gaussian_scaled(xs, t))) <= 2e-10
+        got = scaled_evolve_many(make_step(0.0, 1.0), xs, 2.0)
+        assert np.max(np.abs(got - profile_F(xs))) <= 2e-10
+
+    @pytest.mark.parametrize("targets", [8, 12, 16])
+    def test_interpolation_bound_holds(self, monkeypatch, targets):
+        # below 36 targets the interpolation error stands above rounding,
+        # so the Cramer bound coef * sum |c_j| can be seen to hold
+        monkeypatch.setattr(semigroup, "_TARGETS", targets)
+        xs = np.linspace(-3.5, 3.5, 2 * targets + 1)
+        cut, coef = _cells(xs)
+        (_, _, tg, bary), = cut
+        rng = np.random.default_rng(targets)
+        for _ in range(20):
+            z = np.sort(rng.uniform(-20.0, 20.0, 50))
+            c = rng.standard_normal(50)
+
+            def f(y):
+                return np.exp(-0.25 * (y[:, None] - z) ** 2) @ c
+
+            err = np.max(np.abs(bary @ f(tg) - f(xs)))
+            assert err <= coef * np.sum(np.abs(c))
 
 
 class TestEvolve:
