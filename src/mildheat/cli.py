@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import experiments, initial_data, oracles
 
@@ -38,24 +39,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_config(path: str, out_dir: str | None, tol: float | None):
-    with open(path, encoding="utf-8") as fh:
-        cfg = experiments.parse_config(fh.read())
-    updates = {}
-    if out_dir is not None:
-        updates["out_dir"] = out_dir
-    if tol is not None:
-        updates["abs_tol"] = tol
-    if updates:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **updates)
-    return cfg
-
-
 def _run_one(path: str, out_dir: str | None, tol: float | None) -> int:
+    overrides = {"out_dir": out_dir, "abs_tol": tol}
     try:
-        cfg = _load_config(path, out_dir, tol)
+        with open(path, encoding="utf-8") as fh:
+            cfg = experiments.parse_config(fh.read())
+        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     except OSError as exc:
         print(f"config-error: {exc}")
         return 2

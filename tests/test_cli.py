@@ -55,6 +55,24 @@ class TestRun:
         assert main(["run", str(cfg)]) == 2
         assert "config-error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("sliding-average", "R_ladder"),
+            ("rescaled-check", "h_ladder"),
+            ("log-kernel-bound", "x_values"),
+            ("dilation-bound", "alphas"),
+            ("dilation-bound", "s_values"),
+        ],
+    )
+    def test_empty_list_is_a_config_error(self, tmp_path, capsys, kind, field):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(f"kind = {kind}\ndatum = constant:0.5\n{field} =\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"{field} must not be empty" in capsys.readouterr().out
+        assert not out.exists()
+
     def test_tol_override(self, tmp_path):
         cfg = tmp_path / "avg.cfg"
         cfg.write_text(

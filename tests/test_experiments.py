@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+from dataclasses import replace
 
 import pytest
 
@@ -12,9 +13,10 @@ from mildheat.experiments import (
     ExperimentConfig,
     parse_config,
     run,
-    serialize_config,
 )
 from mildheat.kernels import UncertifiedQuadrature
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 MINIMAL = "kind = dilation-bound\ndatum = log_sine\n"
 
@@ -59,9 +61,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="expected 'key = value'"):
             parse_config("kind: exact-step\n")
 
-    def test_round_trip(self):
+    def test_typed_values(self):
         cfg = parse_config(MINIMAL + "t_ladder = 1,10\nabs_tol = 1e-9\nn = 51\n")
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert cfg.t_ladder == (1.0, 10.0)
+        assert cfg.abs_tol == 1e-9
+        assert cfg.n == 51 and isinstance(cfg.n, int)
 
 
 class TestConfigValidation:
@@ -140,6 +144,7 @@ class TestRun:
             kind="exact-step", datum_id="log_sine", out_dir=str(tmp_path)
         )
         assert run(cfg).exit_code == 2
+        assert not os.listdir(tmp_path)
 
     def test_unknown_datum(self, tmp_path):
         cfg = ExperimentConfig(
@@ -148,6 +153,7 @@ class TestRun:
         result = run(cfg)
         assert result.exit_code == 2
         assert result.reason.startswith("config-error")
+        assert not os.listdir(tmp_path)
 
     def test_dilation_bound_passes(self, tmp_path):
         cfg = ExperimentConfig(
@@ -194,15 +200,19 @@ class TestRun:
         result = run(cfg)
         assert result.exit_code == 3
         assert result.reason.startswith("solver-failure")
+        assert not os.listdir(tmp_path)
 
-    def test_uncertified_quadrature_exits_3(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind, datum",
+        [("exact-step", "step:0,1"), ("accumulation", "log_sine")],
+        ids=["exact-step", "accumulation"],
+    )
+    def test_uncertified_quadrature_exits_3(self, tmp_path, monkeypatch, kind, datum):
         def boom(*a, **k):
             raise UncertifiedQuadrature("reached the node cap")
 
         monkeypatch.setattr(experiments.semigroup, "scaled_evolve_many", boom)
-        cfg = ExperimentConfig(
-            kind="exact-step", datum_id="step:0,1", out_dir=str(tmp_path)
-        )
+        cfg = ExperimentConfig(kind=kind, datum_id=datum, out_dir=str(tmp_path))
         result = run(cfg)
         assert result.exit_code == 3
         assert result.reason.startswith("solver-failure")
@@ -222,6 +232,21 @@ class TestRun:
             files = sorted(os.listdir(tmp_path / name))
             outs.append([(f, (tmp_path / name / f).read_bytes()) for f in files])
         assert outs[0] == outs[1]
+
+    def test_every_kind_writes_exactly_its_files(self, tmp_path):
+        # the default configs cover every kind; each run writes the files
+        # it lists, and no other
+        kinds = set()
+        for name in sorted(os.listdir(CONFIG_DIR)):
+            with open(os.path.join(CONFIG_DIR, name), encoding="utf-8") as fh:
+                cfg = replace(parse_config(fh.read()), out_dir=str(tmp_path / name))
+            result = run(cfg)
+            assert result.exit_code == 0, name
+            assert sorted(os.listdir(cfg.out_dir)) == sorted(
+                os.path.basename(p) for p in result.files
+            )
+            kinds.add(cfg.kind)
+        assert kinds == set(experiments._HANDLERS)
 
     def test_no_stray_tmp_files(self, tmp_path):
         cfg = ExperimentConfig(
