@@ -40,11 +40,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_one(path: str, out_dir: str | None, tol: float | None) -> int:
-    overrides = {"out_dir": out_dir, "abs_tol": tol}
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = experiments.parse_config(fh.read())
-        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+        if tol is not None and "abs_tol" in experiments._reads(cfg.kind):
+            cfg = replace(cfg, params={**cfg.params, "abs_tol": tol})
+        if out_dir is not None:
+            cfg = replace(cfg, out_dir=out_dir)
     except OSError as exc:
         print(f"config-error: {exc}")
         return 2

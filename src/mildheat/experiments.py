@@ -3,6 +3,8 @@ SVG line charts, and a summary manifest out.
 
 Each experiment kind has a fixed CSV schema and a kind-specific pass/fail
 assertion; everything is deterministic (no RNG anywhere). A kind's handler
+takes the datum and one keyword parameter per config key it reads, whose
+default is the key's default; a config may set no other key. The handler
 only computes: `run` alone writes the output files, after the handler has
 returned, so a run that fails writes no file. Every file is written
 atomically, so concurrent runs never interleave partial files.
@@ -10,12 +12,12 @@ atomically, so concurrent runs never interleave partial files.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
 import tempfile
-import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,106 +40,63 @@ CSV_HEADERS = {
     "sliding-average": "R,average,delta_prev",
 }
 
-_DEFAULT_T_LADDER = {
-    "exact-step": (0.1, 1.0, 10.0, 1e6),
-    "profile-error": (1e2, 1e4, 1e6, 1e8),
-    "log-kernel-bound": (1e-4, 1.0, 1e4, 1e8),
-    "envelope-bound": (1.0, 1e4),
-    "curvature-gap": (1.0, 3.0, 10.0, 30.0, 100.0),
-    "flow-profile-error": (4.0, 16.0, 64.0),
-    "accumulation": (1e2, 1e4),
-}
-
-_DEFAULT_FD = {
-    "curvature-gap": dict(half_width=400.0, t_final=100.0),
-    "flow-profile-error": dict(half_width=120.0, t_final=64.0),
-}
-
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+def _reads(kind: str) -> dict[str, object]:
+    """The keys a config of this kind may set, each with its default: the
+    keyword parameters of the kind's handler."""
+    if kind not in _HANDLERS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    params = inspect.signature(_HANDLERS[kind]).parameters.values()
+    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: params holds the keys the config set; the handler's
+    defaults fill in the rest."""
+
     kind: str
     datum_id: str
-    t_ladder: tuple[float, ...] = ()
-    lambda_ladder: tuple[float, ...] = ()
-    R_ladder: tuple[float, ...] = (1e1, 1e2, 1e3, 1e4)
-    h_ladder: tuple[float, ...] = (1e-2, 5e-3)
-    x_values: tuple[float, ...] = (-3.0, -1.0, 0.0, 1.0, 3.0)
-    alphas: tuple[float, ...] = (0.25, 0.5, 2.0, 4.0)
-    s_values: tuple[float, ...] = (-1e3, -1.0, -1e-3, 1e-3, 1.0, 1e3)
-    L: float = 4.0
-    n: int = 401
-    abs_tol: float = 1e-10
-    tail_radius: float = 14.0
-    x_window: float = 4.0
-    tau: float = 0.0
-    fd_half_width: float = 0.0   # 0 = kind default
-    fd_dx: float = 0.1
-    fd_cfl: float = 0.4
-    fd_t_final: float = 0.0      # 0 = kind default
+    params: dict[str, object] = field(default_factory=dict)
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        if self.kind not in _HANDLERS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.L <= 0:
-            raise ConfigError(f"L must be positive, got {self.L}")
-        if self.n < 3:
-            raise ConfigError(f"n must be at least 3, got {self.n}")
+        reads = _reads(self.kind)
+        for key, val in self.params.items():
+            if key not in reads:
+                raise ConfigError(f"{self.kind} does not read key {key!r}")
+            vals = val if isinstance(val, tuple) else (val,)
+            if not vals:
+                raise ConfigError(f"{key} must not be empty")
+            if not all(math.isfinite(v) for v in vals):
+                raise ConfigError(f"{key} must be finite, got {val}")
+        p = self.params
+        if p.get("L", 1.0) <= 0:
+            raise ConfigError(f"L must be positive, got {p['L']}")
+        if p.get("n", 3) < 3:
+            raise ConfigError(f"n must be at least 3, got {p['n']}")
         for name in ("t_ladder", "lambda_ladder", "R_ladder"):
-            ladder = getattr(self, name)
+            ladder = p.get(name, ())
             if any(v <= 0 for v in ladder):
                 raise ConfigError(f"{name} entries must be positive")
             if list(ladder) != sorted(set(ladder)):
                 raise ConfigError(f"{name} must be strictly increasing")
-        # an empty t_ladder or lambda_ladder means the kind's default
-        for name in ("R_ladder", "h_ladder", "x_values", "alphas", "s_values"):
-            if not getattr(self, name):
-                raise ConfigError(f"{name} must not be empty")
-
-    def times(self) -> tuple[float, ...]:
-        return self.t_ladder or _DEFAULT_T_LADDER.get(self.kind, (1.0,))
-
-    def quadrature(self) -> QuadratureSpec:
-        return QuadratureSpec(abs_tol=self.abs_tol, tail_radius=self.tail_radius)
-
-    def fd_config(self) -> FDSolverConfig:
-        base = _DEFAULT_FD[self.kind]
-        half_width = self.fd_half_width or base["half_width"]
-        t_final = self.fd_t_final or max(base["t_final"], max(self.times()))
-        beyond = [t for t in self.times() if t > t_final]
-        if beyond:
-            raise ConfigError(
-                f"t_ladder entries {', '.join(f'{t:g}' for t in beyond)} exceed "
-                f"fd_t_final = {t_final:g}"
-            )
-        return FDSolverConfig(
-            half_width=half_width,
-            dx=self.fd_dx,
-            t_final=t_final,
-            record_times=self.times(),
-            cfl=self.fd_cfl,
-        )
 
 
-def _floats(val: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in val.split(",") if v.strip())
-
-
-# each key is parsed as its field's declared type; a tuple is a comma list
-_PARSERS = {
-    name: _floats if typing.get_origin(tp) is tuple else tp
-    for name, tp in typing.get_type_hints(ExperimentConfig).items()
-}
+def _parse(default, val: str):
+    """Parse val as the type of default; a tuple is a comma list of floats."""
+    if isinstance(default, tuple):
+        return tuple(float(v) for v in val.split(",") if v.strip())
+    return type(default)(val)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key = value config format ('#' starts a comment)."""
-    values: dict[str, object] = {}
+    lines: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -146,22 +105,24 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        val = val.strip()
-        if key == "datum":
-            key = "datum_id"
-        if key not in _PARSERS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
+        if key in lines:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        lines[key] = (lineno, val.strip())
+    for key in ("kind", "datum"):
+        if key not in lines:
+            raise ConfigError(f"missing required key {key!r}")
+    kind = lines.pop("kind")[1]
+    datum_id = lines.pop("datum")[1]
+    reads = _reads(kind)
+    params = {}
+    for key, (lineno, val) in lines.items():
+        if key not in reads:
+            raise ConfigError(f"line {lineno}: unknown key {key!r} for {kind}")
         try:
-            values[key] = _PARSERS[key](val)
+            params[key] = _parse(reads[key], val)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value {val!r} for {key!r}") from None
-    if "kind" not in values:
-        raise ConfigError("missing required key 'kind'")
-    if "datum_id" not in values:
-        raise ConfigError("missing required key 'datum'")
-    return ExperimentConfig(**values)
+    return ExperimentConfig(kind, datum_id, params)
 
 
 def _umask() -> int:
@@ -248,15 +209,15 @@ def run(cfg: ExperimentConfig) -> RunResult:
     2 configuration error, 3 solver failure (an FD instability or a
     quadrature that could not certify its tolerance).
 
-    The handler of cfg.kind returns (ok, scalars, tables, chart): tables
-    maps a file-name suffix to CSV rows, and chart is None or the
-    (series, logx, logy) of `_svg`. Only then are files written: each
-    table as <kind>_<datum><suffix>.csv, the chart as .svg, then the
-    summary manifest as _summary.json. A run that exits 2 or 3 writes
-    nothing."""
+    The handler of cfg.kind, called on the datum and cfg.params, returns
+    (ok, scalars, tables, chart): tables maps a file-name suffix to CSV
+    rows, and chart is None or the (series, logx, logy) of `_svg`. Only
+    then are files written: each table as <kind>_<datum><suffix>.csv, the
+    chart as .svg, then the summary manifest as _summary.json. A run that
+    exits 2 or 3 writes nothing."""
     try:
         u0 = initial_data.from_id(cfg.datum_id)
-        ok, scalars, tables, chart = _HANDLERS[cfg.kind](cfg, u0)
+        ok, scalars, tables, chart = _HANDLERS[cfg.kind](u0, **cfg.params)
     except ValueError as exc:  # ConfigError included
         return RunResult(2, [], {}, f"config-error: {exc}")
     except (SolverFailure, UncertifiedQuadrature) as exc:
@@ -287,89 +248,97 @@ def _derivative_free(u0) -> bool:
     return u0.sup_left == 0.0 and u0.sup_right == 0.0
 
 
-def _run_exact_step(cfg, u0):
-    if not cfg.datum_id.startswith("step:"):
+def _run_exact_step(u0, *, t_ladder=(0.1, 1.0, 10.0, 1e6), L=4.0, n=401,
+                    abs_tol=1e-10):
+    if not u0.id.startswith("step:"):
         raise ConfigError("exact-step requires a step datum")
-    spec = cfg.quadrature()
+    spec = QuadratureSpec(abs_tol=abs_tol)
     rows = []
     worst = 0.0
-    xs = np.linspace(-cfg.L, cfg.L, cfg.n)
-    for t in cfg.times():
+    xs = np.linspace(-L, L, n)
+    for t in t_ladder:
         nums = semigroup.scaled_evolve_many(u0, xs, t, spec)
         exact = profile_bounds.two_sided_profile(u0, xs, t)
         diffs = np.abs(nums - exact)
         worst = max(worst, float(np.max(diffs)))
         rows.extend(zip([t] * len(xs), xs, nums, exact, diffs))
-    ok = worst <= 2.0 * cfg.abs_tol
+    ok = worst <= 2.0 * abs_tol
     return ok, {"max_abs_diff": worst}, {"": rows}, None
 
 
-def _run_profile_error(cfg, u0):
-    spec = cfg.quadrature()
+def _run_profile_error(u0, *, t_ladder=(1e2, 1e4, 1e6, 1e8), L=4.0, n=401,
+                       abs_tol=1e-10):
+    spec = QuadratureSpec(abs_tol=abs_tol)
     rows = []
-    for t in cfg.times():
-        rep = profile_bounds.profile_error(u0, cfg.L, t, cfg.n, spec)
-        rows.append((t, cfg.L, rep.sup_error, rep.coeff_left, rep.coeff_right))
+    for t in t_ladder:
+        rep = profile_bounds.profile_error(u0, L, t, n, spec)
+        rows.append((t, L, rep.sup_error, rep.coeff_left, rep.coeff_right))
     chart = [("sup_error", [(r[0], max(r[2], 1e-16)) for r in rows])], True, True
     sups = [r[2] for r in rows]
     if _derivative_free(u0):
-        ok = all(s <= 2.0 * cfg.abs_tol for s in sups)
+        ok = all(s <= 2.0 * abs_tol for s in sups)
     else:
-        ok = all(np.isfinite(s) and s <= 4.0 * u0.sup_norm + cfg.abs_tol for s in sups)
+        ok = all(np.isfinite(s) and s <= 4.0 * u0.sup_norm + abs_tol for s in sups)
     return ok, {"sup_error_first": sups[0], "sup_error_last": sups[-1]}, {"": rows}, chart
 
 
-def _run_log_kernel_bound(cfg, u0):
-    spec = cfg.quadrature()
+def _run_log_kernel_bound(u0, *, x_values=(-3.0, -1.0, 0.0, 1.0, 3.0),
+                          t_ladder=(1e-4, 1.0, 1e4, 1e8), abs_tol=1e-10):
+    spec = QuadratureSpec(abs_tol=abs_tol)
     rows = []
     ok = True
-    for x in cfg.x_values:
-        for t in cfg.times():
+    for x in x_values:
+        for t in t_ladder:
             lhs, rhs = profile_bounds.log_kernel_bound(u0, float(x), t, spec)
             margin = rhs - lhs
-            ok = ok and lhs <= rhs + 2.0 * cfg.abs_tol
+            ok = ok and lhs <= rhs + 2.0 * abs_tol
             rows.append((x, t, lhs, rhs, margin))
     return ok, {"min_margin": min(r[4] for r in rows)}, {"": rows}, None
 
 
-def _run_envelope_bound(cfg, u0):
-    spec = cfg.quadrature()
+def _run_envelope_bound(u0, *, t_ladder=(1.0, 1e4), L=4.0, n=401, abs_tol=1e-10):
+    spec = QuadratureSpec(abs_tol=abs_tol)
     rows = []
     ok = True
-    for t in cfg.times():
-        rep = profile_bounds.profile_error(u0, cfg.L, t, cfg.n, spec)
+    for t in t_ladder:
+        rep = profile_bounds.profile_error(u0, L, t, n, spec)
         a, b, measured = rep.coeff_left, rep.coeff_right, rep.sup_error
-        bound = profile_bounds.envelope_bound(u0, a, b, cfg.L, t, spec)
-        ok = ok and measured <= bound + 2.0 * cfg.abs_tol
+        bound = profile_bounds.envelope_bound(u0, a, b, L, t, spec)
+        ok = ok and measured <= bound + 2.0 * abs_tol
         rows.append((t, a, b, measured, bound, bound - measured))
     return ok, {"min_margin": min(r[5] for r in rows)}, {"": rows}, None
 
 
-def _run_dilation_bound(cfg, u0):
+def _run_dilation_bound(u0, *, alphas=(0.25, 0.5, 2.0, 4.0),
+                        s_values=(-1e3, -1.0, -1e-3, 1e-3, 1.0, 1e3)):
     rows = []
     ok = True
-    for alpha in cfg.alphas:
-        for s in cfg.s_values:
+    for alpha in alphas:
+        for s in s_values:
             lhs, rhs = profile_bounds.dilation_difference_bound(u0, alpha, s)
             ok = ok and lhs <= rhs + 1e-12
             rows.append((alpha, s, lhs, rhs))
     return ok, {"max_lhs": max(r[2] for r in rows)}, {"": rows}, None
 
 
-def _run_rescaled_check(cfg, u0):
-    spec = cfg.quadrature()
+def _run_rescaled_check(u0, *, h_ladder=(1e-2, 5e-3), x_window=4.0, tau=0.0,
+                        abs_tol=1e-10):
+    spec = QuadratureSpec(abs_tol=abs_tol)
     rows = []
-    for h in cfg.h_ladder:
-        res = semigroup.rescaled_residual(u0, cfg.x_window, cfg.tau, h, spec)
+    for h in h_ladder:
+        res = semigroup.rescaled_residual(u0, x_window, tau, h, spec)
         rows.append((h, res))
     chart = [("residual", [(h, max(r, 1e-18)) for h, r in rows])], True, True
     ok = min(r for _, r in rows) <= 1e-3
     return ok, {"residual_min": min(r for _, r in rows)}, {"": rows}, chart
 
 
-def _run_curvature_gap(cfg, u0):
-    spec = cfg.quadrature()
-    gaps = curvature_flow.curvature_heat_gap(u0, cfg.fd_config(), spec)
+def _run_curvature_gap(u0, *, t_ladder=(1.0, 3.0, 10.0, 30.0, 100.0),
+                       fd_half_width=400.0, fd_dx=0.1, fd_cfl=0.4, abs_tol=1e-10):
+    spec = QuadratureSpec(abs_tol=abs_tol)
+    fd = FDSolverConfig(half_width=fd_half_width, dx=fd_dx, t_final=max(t_ladder),
+                        record_times=t_ladder, cfl=fd_cfl)
+    gaps = curvature_flow.curvature_heat_gap(u0, fd, spec)
     chart = [("gap", [(t, max(g, 1e-16)) for t, g in gaps])], True, True
     vals = [g for _, g in gaps]
     if max(vals) <= 1e-8:
@@ -379,26 +348,26 @@ def _run_curvature_gap(cfg, u0):
     return ok, {"gap_max": max(vals), "gap_min": min(vals)}, {"": gaps}, chart
 
 
-def _run_flow_profile_error(cfg, u0):
-    errs = curvature_flow.flow_profile_error(
-        u0, cfg.fd_config(), cfg.L, cfg.times(), cfg.n
-    )
+def _run_flow_profile_error(u0, *, t_ladder=(4.0, 16.0, 64.0), L=4.0, n=401,
+                            fd_half_width=120.0, fd_dx=0.1, fd_cfl=0.4):
+    fd = FDSolverConfig(half_width=fd_half_width, dx=fd_dx, t_final=max(t_ladder),
+                        record_times=t_ladder, cfl=fd_cfl)
+    errs = curvature_flow.flow_profile_error(u0, fd, L, t_ladder, n)
     chart = [("sup_error", [(t, max(e, 1e-16)) for t, e in errs])], True, True
     ok = errs[-1][1] <= errs[0][1]
     scalars = {"sup_error_first": errs[0][1], "sup_error_last": errs[-1][1]}
     return ok, scalars, {"": errs}, chart
 
 
-def _run_accumulation(cfg, u0):
-    spec = cfg.quadrature()
-    lams = cfg.lambda_ladder or tuple(
-        math.exp(k * math.pi / 8.0) for k in range(32)
-    )
-    pairs = profile_bounds.accumulation_samples(u0, lams)
-    rows = [(lam, a, b) for lam, (a, b) in zip(lams, pairs)]
+def _run_accumulation(u0, *,
+                      lambda_ladder=tuple(math.exp(k * math.pi / 8.0) for k in range(32)),
+                      t_ladder=(1e2, 1e4), L=4.0, n=401, abs_tol=1e-10):
+    spec = QuadratureSpec(abs_tol=abs_tol)
+    pairs = profile_bounds.accumulation_samples(u0, lambda_ladder)
+    rows = [(lam, a, b) for lam, (a, b) in zip(lambda_ladder, pairs)]
     fit_rows = []
-    xs = np.linspace(-cfg.L, cfg.L, cfg.n)
-    for t in cfg.times():
+    xs = np.linspace(-L, L, n)
+    for t in t_ladder:
         vals = semigroup.scaled_evolve_many(u0, xs, t, spec)
         alpha, beta = profile_bounds.fit_profile_coefficients(xs, vals)
         fit_rows.append((t, alpha, beta))
@@ -410,18 +379,18 @@ def _run_accumulation(cfg, u0):
     return ok, {"n_samples": float(len(rows))}, {"": rows, "_fit": fit_rows}, chart
 
 
-def _run_sliding_average(cfg, u0):
-    spec = cfg.quadrature()
+def _run_sliding_average(u0, *, R_ladder=(1e1, 1e2, 1e3, 1e4), abs_tol=1e-10):
+    spec = QuadratureSpec(abs_tol=abs_tol)
     rows = []
     prev = None
-    for R in cfg.R_ladder:
+    for R in R_ladder:
         avg = semigroup.sliding_average(u0, 0.0, R, spec)
         delta = 0.0 if prev is None else avg - prev
         rows.append((R, avg, delta))
         prev = avg
     chart = [("average", [(R, a) for R, a, _ in rows])], True, False
     if _derivative_free(u0):
-        ok = all(abs(a - rows[0][1]) <= 2.0 * cfg.abs_tol for _, a, _ in rows)
+        ok = all(abs(a - rows[0][1]) <= 2.0 * abs_tol for _, a, _ in rows)
     else:
         ok = all(np.isfinite(a) for _, a, _ in rows)
     return ok, {"average_last": rows[-1][1]}, {"": rows}, chart

@@ -183,8 +183,8 @@ def scaled_evolve_many(
     spec.tail_radius of it, and both sides share the cells: the side
     z < 0 is the Gaussian sum at x over the mirrored nodes -z.
     """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
     xs = np.asarray(xs, dtype=float)
     order = np.argsort(xs)
     x = xs[order]
@@ -350,8 +350,8 @@ def evolve(
     u0: InitialDatum, x: float, t: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
     """Heat evolution at a physical point: u(x, t) = scaled_evolve at x/sqrt(t)."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
     return scaled_evolve(u0, x / math.sqrt(t), t, spec)
 
 
@@ -362,8 +362,8 @@ def evolve_on_grid(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> np.ndarray:
     """Heat evolution u(x, t) at an array of physical points, in input order."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
     return scaled_evolve_many(u0, np.asarray(xs, dtype=float) / math.sqrt(t), t, spec)
 
 
@@ -375,8 +375,8 @@ def sliding_average(
     Probes the stabilization criterion along a ladder of window widths; the
     package only reports finite-R trends, never the limit itself.
     """
-    if R <= 0:
-        raise ValueError(f"window half-width must be positive, got {R}")
+    if not 0 < R < math.inf:
+        raise ValueError(f"window half-width must be positive and finite, got {R}")
     lo, hi = x - R, x + R
     # the parts of the window on each side of 0, as distances from it
     sides = [(sign, a, b) for sign, a, b in

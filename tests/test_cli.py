@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from mildheat import experiments
 from mildheat.cli import main
 from mildheat.initial_data import catalog
 
@@ -63,6 +64,8 @@ class TestRun:
             ("log-kernel-bound", "x_values"),
             ("dilation-bound", "alphas"),
             ("dilation-bound", "s_values"),
+            ("profile-error", "t_ladder"),
+            ("accumulation", "lambda_ladder"),
         ],
     )
     def test_empty_list_is_a_config_error(self, tmp_path, capsys, kind, field):
@@ -73,13 +76,63 @@ class TestRun:
         assert f"{field} must not be empty" in capsys.readouterr().out
         assert not out.exists()
 
-    def test_tol_override(self, tmp_path):
-        cfg = tmp_path / "avg.cfg"
-        cfg.write_text(
-            "kind = sliding-average\ndatum = constant:1\nR_ladder = 1,10\n"
-        )
+    @pytest.mark.parametrize(
+        "kind, datum, line",
+        [
+            ("profile-error", "sub_log:0.5", "L = nan"),
+            ("profile-error", "sub_log:0.5", "t_ladder = nan"),
+            ("sliding-average", "log_sine", "R_ladder = 10, inf"),
+        ],
+    )
+    def test_non_finite_value_is_a_config_error(self, tmp_path, capsys, kind, datum, line):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(f"kind = {kind}\ndatum = {datum}\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().out
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, line",
+        [
+            ("exact-step", "lambda_ladder = 3"),
+            ("profile-error", "x_values = 1"),
+            ("log-kernel-bound", "L = 4"),
+            ("envelope-bound", "R_ladder = 10"),
+            ("dilation-bound", "t_ladder = 5"),
+            ("rescaled-check", "n = 51"),
+            ("curvature-gap", "fd_t_final = 10"),
+            ("flow-profile-error", "abs_tol = 1e-9"),
+            ("accumulation", "tail_radius = 14"),
+            ("sliding-average", "out_dir = elsewhere"),
+        ],
+    )
+    def test_key_the_kind_does_not_read(self, tmp_path, capsys, kind, line):
+        cfg = tmp_path / "extra.cfg"
+        cfg.write_text(f"kind = {kind}\ndatum = step:0,1\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+        assert "line 3: unknown key" in capsys.readouterr().out
+        assert not out.exists()
+
+    @staticmethod
+    def _params_after_tol(tmp_path, monkeypatch, text):
+        seen = []
+        real_run = experiments.run
+        monkeypatch.setattr(experiments, "run", lambda cfg: seen.append(cfg) or real_run(cfg))
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(text)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out-dir", str(out), "--tol", "1e-8"]) == 0
+        return seen[0].params
+
+    def test_tol_override(self, tmp_path, monkeypatch):
+        text = "kind = sliding-average\ndatum = constant:1\nR_ladder = 1,10\n"
+        params = self._params_after_tol(tmp_path, monkeypatch, text)
+        assert params == {"R_ladder": (1.0, 10.0), "abs_tol": 1e-8}
+
+    def test_tol_is_ignored_where_the_kind_does_not_read_it(self, tmp_path, monkeypatch):
+        assert self._params_after_tol(tmp_path, monkeypatch, DILATION_CFG) == {}
 
 
 class TestRunAll:

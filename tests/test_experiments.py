@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 from dataclasses import replace
@@ -26,18 +27,18 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL)
         assert cfg.kind == "dilation-bound"
         assert cfg.datum_id == "log_sine"
-        assert cfg.L == 4.0
+        assert cfg.params == {}
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config(
             "# suite entry\nkind = exact-step\n\ndatum = step:0,1  # two levels\nL = 5\n"
         )
         assert cfg.datum_id == "step:0,1"
-        assert cfg.L == 5.0
+        assert cfg.params == {"L": 5.0}
 
     def test_list_field(self):
-        cfg = parse_config(MINIMAL + "t_ladder = 1, 10, 100\n")
-        assert cfg.t_ladder == (1.0, 10.0, 100.0)
+        cfg = parse_config(MINIMAL + "alphas = 1, 10, 100\n")
+        assert cfg.params["alphas"] == (1.0, 10.0, 100.0)
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="line 3: unknown key"):
@@ -49,7 +50,7 @@ class TestParseConfig:
 
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
-            parse_config(MINIMAL + "L = wide\n")
+            parse_config("kind = profile-error\ndatum = log_sine\nL = wide\n")
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="missing required key"):
@@ -62,10 +63,29 @@ class TestParseConfig:
             parse_config("kind: exact-step\n")
 
     def test_typed_values(self):
-        cfg = parse_config(MINIMAL + "t_ladder = 1,10\nabs_tol = 1e-9\nn = 51\n")
-        assert cfg.t_ladder == (1.0, 10.0)
-        assert cfg.abs_tol == 1e-9
-        assert cfg.n == 51 and isinstance(cfg.n, int)
+        cfg = parse_config(
+            "kind = profile-error\ndatum = log_sine\n"
+            "t_ladder = 1,10\nabs_tol = 1e-9\nn = 51\n"
+        )
+        assert cfg.params["t_ladder"] == (1.0, 10.0)
+        assert cfg.params["abs_tol"] == 1e-9
+        assert cfg.params["n"] == 51 and isinstance(cfg.params["n"], int)
+
+    @pytest.mark.parametrize("kind", sorted(experiments._HANDLERS))
+    def test_every_key_parses_as_its_default(self, kind):
+        # each key the kind reads is parsed with the type of its default
+        reads = experiments._reads(kind)
+        lines = [
+            f"{k} = {', '.join(map(repr, v)) if isinstance(v, tuple) else repr(v)}"
+            for k, v in reads.items()
+        ]
+        cfg = parse_config(f"kind = {kind}\ndatum = log_sine\n" + "\n".join(lines))
+        assert cfg.params == reads
+        assert [type(v) for v in cfg.params.values()] == [type(v) for v in reads.values()]
+
+
+def _config(kind, datum_id, out_dir, **params):
+    return ExperimentConfig(kind, datum_id, params, str(out_dir))
 
 
 class TestConfigValidation:
@@ -75,62 +95,43 @@ class TestConfigValidation:
 
     def test_bad_window(self):
         with pytest.raises(ConfigError, match="L must be positive"):
-            ExperimentConfig(kind="profile-error", datum_id="log_sine", L=-1.0)
+            ExperimentConfig("profile-error", "log_sine", {"L": -1.0})
 
     def test_bad_grid(self):
         with pytest.raises(ConfigError, match="n must be"):
-            ExperimentConfig(kind="profile-error", datum_id="log_sine", n=2)
+            ExperimentConfig("profile-error", "log_sine", {"n": 2})
 
     def test_non_increasing_ladder(self):
         with pytest.raises(ConfigError, match="strictly increasing"):
-            ExperimentConfig(
-                kind="profile-error", datum_id="log_sine", t_ladder=(10.0, 1.0)
-            )
+            ExperimentConfig("profile-error", "log_sine", {"t_ladder": (10.0, 1.0)})
 
-    def test_ladder_beyond_fd_horizon(self, tmp_path):
-        # a t_ladder time past fd_t_final is an error, not a dropped row
-        cfg = ExperimentConfig(
-            kind="curvature-gap",
-            datum_id="smooth_log_sine:1",
-            t_ladder=(1.0, 3.0, 10.0, 30.0),
-            fd_half_width=80.0,
-            fd_dx=0.2,
-            fd_t_final=10.0,
-            out_dir=str(tmp_path),
-        )
-        with pytest.raises(ConfigError, match="30 exceed fd_t_final = 10"):
-            cfg.fd_config()
-        result = run(cfg)
-        assert result.exit_code == 2
-        assert result.reason.startswith("config-error")
-        assert not os.listdir(tmp_path)
+    @pytest.mark.parametrize(
+        "key, value",
+        [("L", math.nan), ("t_ladder", (1.0, math.inf)), ("abs_tol", -math.inf)],
+    )
+    def test_non_finite_value(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            ExperimentConfig("profile-error", "log_sine", {key: value})
+
+    def test_key_the_kind_does_not_read(self):
+        with pytest.raises(ConfigError, match="does not read key 't_ladder'"):
+            ExperimentConfig("dilation-bound", "log_sine", {"t_ladder": (5.0,)})
 
     def test_config_error_leaves_no_output_directory(self, tmp_path):
+        # exact-step on a datum that is not a step fails inside run
         out = tmp_path / "fresh" / "out"
-        cfg = ExperimentConfig(
-            kind="curvature-gap",
-            datum_id="smooth_log_sine:1",
-            t_ladder=(1.0, 30.0),
-            fd_t_final=10.0,
-            out_dir=str(out),
-        )
-        assert run(cfg).exit_code == 2
+        result = run(_config("exact-step", "log_sine", out))
+        assert result.exit_code == 2
+        assert result.reason.startswith("config-error")
         assert not (tmp_path / "fresh").exists()
 
     def test_default_time_ladders(self):
-        cfg = ExperimentConfig(kind="exact-step", datum_id="step:0,1")
-        assert cfg.times() == (0.1, 1.0, 10.0, 1e6)
+        assert experiments._reads("exact-step")["t_ladder"] == (0.1, 1.0, 10.0, 1e6)
 
 
 class TestRun:
     def test_exact_step_passes(self, tmp_path):
-        cfg = ExperimentConfig(
-            kind="exact-step",
-            datum_id="step:0,1",
-            t_ladder=(1.0, 10.0),
-            n=21,
-            out_dir=str(tmp_path),
-        )
+        cfg = _config("exact-step", "step:0,1", tmp_path, t_ladder=(1.0, 10.0), n=21)
         result = run(cfg)
         assert result.exit_code == 0
         csv = tmp_path / "exact-step_step_0_1.csv"
@@ -140,35 +141,23 @@ class TestRun:
         assert summary["scalars"]["max_abs_diff"] <= 2e-10
 
     def test_exact_step_needs_step_datum(self, tmp_path):
-        cfg = ExperimentConfig(
-            kind="exact-step", datum_id="log_sine", out_dir=str(tmp_path)
-        )
-        assert run(cfg).exit_code == 2
+        assert run(_config("exact-step", "log_sine", tmp_path)).exit_code == 2
         assert not os.listdir(tmp_path)
 
     def test_unknown_datum(self, tmp_path):
-        cfg = ExperimentConfig(
-            kind="dilation-bound", datum_id="ramp:1", out_dir=str(tmp_path)
-        )
-        result = run(cfg)
+        result = run(_config("dilation-bound", "ramp:1", tmp_path))
         assert result.exit_code == 2
         assert result.reason.startswith("config-error")
         assert not os.listdir(tmp_path)
 
     def test_dilation_bound_passes(self, tmp_path):
-        cfg = ExperimentConfig(
-            kind="dilation-bound", datum_id="log_sine", out_dir=str(tmp_path)
-        )
-        result = run(cfg)
+        result = run(_config("dilation-bound", "log_sine", tmp_path))
         assert result.exit_code == 0
         header = (tmp_path / "dilation-bound_log_sine.csv").read_text().splitlines()[0]
         assert header == CSV_HEADERS["dilation-bound"]
 
     def test_sliding_average_constant_passes(self, tmp_path):
-        cfg = ExperimentConfig(
-            kind="sliding-average", datum_id="constant:0.5", out_dir=str(tmp_path)
-        )
-        result = run(cfg)
+        result = run(_config("sliding-average", "constant:0.5", tmp_path))
         assert result.exit_code == 0
         assert result.summary["scalars"]["average_last"] == pytest.approx(0.5)
 
@@ -178,12 +167,7 @@ class TestRun:
             "flow_profile_error",
             lambda *a, **k: [(1.0, 0.1), (4.0, 0.5)],
         )
-        cfg = ExperimentConfig(
-            kind="flow-profile-error",
-            datum_id="smooth_log_sine:0.5",
-            out_dir=str(tmp_path),
-        )
-        result = run(cfg)
+        result = run(_config("flow-profile-error", "smooth_log_sine:0.5", tmp_path))
         assert result.exit_code == 1
         assert result.reason.startswith("assertion-failure")
 
@@ -192,12 +176,7 @@ class TestRun:
             raise SolverFailure("left the range")
 
         monkeypatch.setattr(experiments.curvature_flow, "curvature_heat_gap", boom)
-        cfg = ExperimentConfig(
-            kind="curvature-gap",
-            datum_id="smooth_log_sine:1",
-            out_dir=str(tmp_path),
-        )
-        result = run(cfg)
+        result = run(_config("curvature-gap", "smooth_log_sine:1", tmp_path))
         assert result.exit_code == 3
         assert result.reason.startswith("solver-failure")
         assert not os.listdir(tmp_path)
@@ -212,8 +191,7 @@ class TestRun:
             raise UncertifiedQuadrature("reached the node cap")
 
         monkeypatch.setattr(experiments.semigroup, "scaled_evolve_many", boom)
-        cfg = ExperimentConfig(kind=kind, datum_id=datum, out_dir=str(tmp_path))
-        result = run(cfg)
+        result = run(_config(kind, datum, tmp_path))
         assert result.exit_code == 3
         assert result.reason.startswith("solver-failure")
         assert not os.listdir(tmp_path)
@@ -221,12 +199,8 @@ class TestRun:
     def test_outputs_are_deterministic(self, tmp_path):
         outs = []
         for name in ("a", "b"):
-            cfg = ExperimentConfig(
-                kind="accumulation",
-                datum_id="log_sine",
-                t_ladder=(1.0, 100.0),
-                n=41,
-                out_dir=str(tmp_path / name),
+            cfg = _config(
+                "accumulation", "log_sine", tmp_path / name, t_ladder=(1.0, 100.0), n=41
             )
             assert run(cfg).exit_code == 0
             files = sorted(os.listdir(tmp_path / name))
@@ -249,10 +223,7 @@ class TestRun:
         assert kinds == set(experiments._HANDLERS)
 
     def test_no_stray_tmp_files(self, tmp_path):
-        cfg = ExperimentConfig(
-            kind="dilation-bound", datum_id="log_sine", out_dir=str(tmp_path)
-        )
-        run(cfg)
+        run(_config("dilation-bound", "log_sine", tmp_path))
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
 

@@ -88,6 +88,27 @@ class TestScaledEvolve:
             scaled_evolve(make_constant(1.0), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u, v: scaled_evolve_many(u, [0.0, 1.0], v),
+        lambda u, v: evolve(u, 1.0, v),
+        lambda u, v: evolve_on_grid(u, [0.0, 1.0], v),
+        lambda u, v: sliding_average(u, 0.0, v),
+    ],
+    ids=["scaled_evolve_many", "evolve", "evolve_on_grid", "sliding_average"],
+)
+def test_rejects_non_finite_time_or_window(call, value):
+    # refused before the datum is read, not after a quadrature hits its cap
+    base = make_sub_log(0.5)
+    evals = []
+    u = dataclasses.replace(base, eval=lambda x: evals.append(x) or base.eval(x))
+    with pytest.raises(ValueError, match="finite"):
+        call(u, value)
+    assert not evals
+
+
 def _quadpack_scaled(u, x, t):
     """u(sqrt(t) x, t) at one point by QUADPACK, independent of the engine:
 
