@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial_data import InitialDatum
-from .kernels import DEFAULT_SPEC, SQRT_PI, QuadratureSpec, envelope_rho, kernel_G, profile_F
+from .kernels import _TAIL_PART, DEFAULT_SPEC, SQRT_PI, QuadratureSpec, envelope_rho
+from .kernels import gauss_window, kernel_G, profile_F
 from .semigroup import _halfline_integral, _one_sided, scaled_evolve, scaled_evolve_many
 
 
@@ -30,16 +31,16 @@ class ProfileErrorReport:
     coeff_right: float  # u0(+sqrt(t))
 
     def __post_init__(self) -> None:
-        if self.t <= 0 or self.L <= 0:
-            raise ValueError("t and L must be positive")
+        if not (0 < self.t < math.inf and 0 < self.L < math.inf):
+            raise ValueError("t and L must be positive and finite")
         if self.sup_error < 0:
             raise ValueError("sup_error must be nonnegative")
 
 
 def two_sided_profile(u0: InitialDatum, x, t: float):
     """F(-x) u0(-sqrt(t)) + F(+x) u0(+sqrt(t)); x may be a scalar or an array."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
     st = math.sqrt(t)
     return profile_F(-x) * float(u0.eval(-st)) + profile_F(x) * float(u0.eval(st))
 
@@ -54,8 +55,8 @@ def sup_profile_error(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
     """Grid max over [-L, L] of |u(sqrt(t) x, t) - (a F(-x) + b F(+x))|."""
-    if L <= 0 or t <= 0:
-        raise ValueError("L and t must be positive")
+    if not (0 < L < math.inf and 0 < t < math.inf):
+        raise ValueError(f"L and t must be positive and finite, got {L} and {t}")
     if n < 3:
         raise ValueError(f"need at least 3 grid nodes, got {n}")
     xs = np.linspace(-L, L, n)
@@ -71,6 +72,8 @@ def profile_error(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> ProfileErrorReport:
     """Measure the profile error with the natural coefficients u0(+-sqrt(t))."""
+    if not 0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
     st = math.sqrt(t)
     a = float(u0.eval(-st))
     b = float(u0.eval(st))
@@ -91,10 +94,10 @@ def envelope_bound(
     (1/(2 sqrt(pi))) int_0^inf rho_L(z) (|u0(-sqrt(t) z) - a| + |u0(+sqrt(t) z) - b|) dz
 
     where rho_L is the sup of Gaussians shifted over [-L, L].  Valid for every
-    choice of constants.
+    choice of constants.  It stops at L + gauss_window(abs_tol, 2 sup|u0| + |a| + |b|).
     """
-    if L <= 0 or t <= 0:
-        raise ValueError("L and t must be positive")
+    if not (0 < L < math.inf and 0 < t < math.inf):
+        raise ValueError(f"L and t must be positive and finite, got {L} and {t}")
     st = math.sqrt(t)
 
     def g(z):
@@ -104,8 +107,9 @@ def envelope_bound(
         )
 
     bound = 2.0 * u0.sup_norm + abs(a) + abs(b)
-    tol = spec.abs_tol * 2.0 * SQRT_PI
-    val = _halfline_integral(u0, g, 0.0, L + spec.tail_radius, st, tol, bound)
+    tol = (1.0 - _TAIL_PART) * spec.abs_tol * 2.0 * SQRT_PI
+    w = gauss_window(spec.abs_tol, bound)
+    val = _halfline_integral(u0, g, 0.0, L + w, st, tol, bound)
     return val / (2.0 * SQRT_PI)
 
 
@@ -144,8 +148,8 @@ def log_kernel_bound(
     |u(sqrt(t) x, t) - two_sided_profile| <= G(-x) sup_{y<0}|y u0'(y)|
                                            + G(+x) sup_{y>0}|y u0'(y)|.
     """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
     if not (math.isfinite(u0.sup_left) and math.isfinite(u0.sup_right)):
         raise ValueError(f"datum {u0.id} lacks finite one-sided slope bounds")
     lhs = abs(scaled_evolve(u0, x, t, spec) - two_sided_profile(u0, x, t))

@@ -19,12 +19,13 @@ every catalog datum certifies at arbitrarily large t (tested to 1e16).
 
 One engine, :func:`scaled_evolve_many`, computes every heat evolution: it
 takes an array of points, refines composite Simpson by doubling until the
-Richardson estimate certifies spec.abs_tol, and sums each node only into
-the points within the Gaussian window spec.tail_radius of it.  It raises
-:class:`~mildheat.kernels.UncertifiedQuadrature` when a segment reaches its
-node cap uncertified.  :func:`scaled_evolve`, :func:`evolve` and
-:func:`evolve_on_grid` are the same computation at one point or at
-physical coordinates.
+Richardson estimate certifies its share of spec.abs_tol, and sums each node
+only into the points within the Gaussian window of it
+(:func:`~mildheat.kernels.gauss_window`, derived from abs_tol and charged to
+it).  It raises :class:`~mildheat.kernels.UncertifiedQuadrature` when a
+segment reaches its node cap uncertified.  :func:`scaled_evolve`,
+:func:`evolve` and :func:`evolve_on_grid` are the same computation at one
+point or at physical coordinates.
 
 For a fixed node set a level's Gaussian sum is an entire function of x, so
 the engine cuts the sorted points once per call into cells at most _CELL = 7
@@ -50,11 +51,13 @@ import numpy as np
 
 from .initial_data import InitialDatum
 from .kernels import (
+    _TAIL_PART,
     DEFAULT_SPEC,
     SQRT_PI,
     QuadratureSpec,
     UncertifiedQuadrature,
     adaptive_simpson,
+    gauss_window,
 )
 
 _TINY = float(np.finfo(float).tiny)
@@ -63,9 +66,6 @@ _BLOCK = 1 << 14
 # panels of a heat segment's first Simpson level, and the count at which a
 # segment still uncertified raises
 _FIRST_PANELS, _PANEL_CAP = 256, 1 << 17
-# the dropped s-tail's budget, as a fraction of a segment's share: lowering
-# s_lo by log 16 costs fewer nodes than shrinking every share
-_TAIL_PART = 1.0 / 16.0
 # the heat engine cuts its sorted points into cells spanning at most _CELL
 # similarity units; a cell of more than 2 _TARGETS points is summed at
 # _TARGETS Chebyshev targets and interpolated, while a level's interpolation
@@ -176,12 +176,13 @@ def scaled_evolve_many(
 ) -> np.ndarray:
     """u(sqrt(t) x, t) at an array of similarity points x, in input order.
 
-    Each half-line [0, upper] is split by _halfline_plan at scale sqrt(t),
-    and each segment is certified to its share of spec.abs_tol by
+    The window w = gauss_window(abs_tol, sup|u0|) takes _TAIL_PART of the
+    budget.  Each half-line [0, max|x| + w] is split by _halfline_plan at
+    scale sqrt(t), and each segment is certified to its share of the rest by
     _refined_halfline_segment.  The points are sorted and cut into cells
-    once (_cells), so each node sums only into the cells within
-    spec.tail_radius of it, and both sides share the cells: the side
-    z < 0 is the Gaussian sum at x over the mirrored nodes -z.
+    once (_cells), so each node sums only into the cells within w of it,
+    and both sides share the cells: the side z < 0 is the Gaussian sum at x
+    over the mirrored nodes -z.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
@@ -190,12 +191,13 @@ def scaled_evolve_many(
     x = xs[order]
     cells = _cells(x)
     st = math.sqrt(t)
-    w = spec.tail_radius
+    w = gauss_window(spec.abs_tol, u0.sup_norm)
+    # the window's part aside, both sides' errors over 2 sqrt(pi) total abs_tol
+    side_tol = (1.0 - _TAIL_PART) * spec.abs_tol * SQRT_PI
     acc = np.zeros_like(x)
     for sign in (-1.0, 1.0):
         upper = max(0.0, float(x[-1] if sign > 0 else -x[0])) + w
-        # both sides' errors over 2 sqrt(pi) total abs_tol
-        plan = _halfline_plan(u0, 0.0, upper, st, spec.abs_tol * SQRT_PI, u0.sup_norm)
+        plan = _halfline_plan(u0, 0.0, upper, st, side_tol, u0.sup_norm)
         for (kind, a, b), tol in plan:
             acc += _refined_halfline_segment(u0, x, cells, st, sign, kind, a, b, tol, w)
     out = np.empty_like(acc)
@@ -413,10 +415,7 @@ def rescaled_residual(
     if n < 3:
         raise ValueError("window too small for the given step: fewer than 3 nodes")
     # centered differences divide value noise by h^2, so evaluate well below it
-    tight = QuadratureSpec(
-        abs_tol=max(min(spec.abs_tol, h * h * 1e-8), 1e-14),
-        tail_radius=spec.tail_radius,
-    )
+    tight = QuadratureSpec(abs_tol=max(min(spec.abs_tol, h * h * 1e-8), 1e-14))
     xs = np.linspace(-x_window, x_window, n)
     dx = xs[1] - xs[0]
     times = (math.exp(tau - h), math.exp(tau), math.exp(tau + h))

@@ -1,17 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import integrate, special
 
 from mildheat import kernels
 from mildheat.kernels import (
+    _TAIL_PART,
     DEFAULT_SPEC,
     QuadratureSpec,
     UncertifiedQuadrature,
     adaptive_simpson,
     envelope_rho,
+    gauss_window,
     heat_kernel,
     kernel_G,
     profile_F,
@@ -132,10 +136,29 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=0.0)
 
-    def test_rejects_short_tail(self):
-        # discarded Gaussian mass would exceed the error budget
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=1e-10, tail_radius=5.0)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tol(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(abs_tol=value)
+
+    def test_tolerance_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["abs_tol"]
+
+
+class TestGaussWindow:
+    @pytest.mark.parametrize("abs_tol", [10.0 ** -k for k in range(6, 16)])
+    @pytest.mark.parametrize("sup", [1e-3, 1.0, 2.0, 7.5, 1e6])
+    def test_dropped_mass_fits_its_part(self, abs_tol, sup):
+        # sup erfc(w/2) is the mass (1/sqrt(pi)) int_w^inf sup e^{-y^2/4} dy
+        w = gauss_window(abs_tol, sup)
+        assert sup * math.erfc(0.5 * w) <= _TAIL_PART * abs_tol
+        # and the window is no wider than the e^{-w^2/4} bound asks
+        assert sup * math.exp(-0.25 * w * w) == pytest.approx(_TAIL_PART * abs_tol)
+
+    @pytest.mark.parametrize("sup", [0.0, 1e-13])
+    def test_nothing_to_drop(self, sup):
+        # a weight within the tail's part needs no window at all
+        assert gauss_window(1e-10, sup) == 0.0
 
 
 class TestHeatKernel:
@@ -145,6 +168,11 @@ class TestHeatKernel:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             heat_kernel(0.0, 0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            heat_kernel(0.0, t)
 
     def test_unit_mass(self):
         for t in (0.01, 1.0, 100.0):
@@ -165,8 +193,17 @@ class TestProfileF:
 
     def test_array_input(self):
         out = profile_F(np.array([-1.0, 0.0, 1.0]))
-        assert out.shape == (3,)
+        assert out.shape == (3,) and out.dtype == np.float64
         assert out[1] == pytest.approx(0.5)
+
+    def test_scalar_input_gives_float(self):
+        assert type(profile_F(0.3)) is float
+        assert type(profile_F(np.float64(-2.0))) is float
+
+    def test_matches_scipy_erf(self):
+        zs = np.linspace(-10.0, 10.0, 4001)
+        want = 0.5 * (1.0 + special.erf(0.5 * zs))
+        assert np.max(np.abs(profile_F(zs) - want)) <= 4.5e-16
 
     @given(st.floats(-50.0, 50.0))
     def test_reflection_identity(self, z):
@@ -186,6 +223,14 @@ class TestProfileF:
             assert profile_F_quad(float(z), spec) == pytest.approx(
                 profile_F(float(z)), abs=1e-12
             )
+
+    @pytest.mark.parametrize("abs_tol", [1e-6, 1e-10, 1e-13])
+    def test_quadrature_at_the_window_edge(self, abs_tol):
+        # just inside and just outside the cut at +-w, against F(z) = erfc(-z/2)/2
+        spec = QuadratureSpec(abs_tol=abs_tol)
+        w = gauss_window(abs_tol, 1.0)
+        for z in (w - 0.1, w + 0.1, -w + 0.1, -w - 0.1):
+            assert abs(profile_F_quad(z, spec) - 0.5 * math.erfc(-0.5 * z)) <= abs_tol
 
 
 class TestKernelG:
@@ -207,6 +252,18 @@ class TestKernelG:
 
     def test_nonnegative(self):
         assert all(kernel_G(z) >= 0.0 for z in (-6.0, -1.0, 0.0, 1.0, 6.0))
+
+    @pytest.mark.parametrize("z", [10.0, 30.0])
+    def test_matches_quadpack_far_right(self, z):
+        # the window's upper cut is charged with the log growth of the integrand
+        def f(y):
+            return math.exp(-0.25 * (z - y) ** 2) * abs(math.log(y))
+
+        want = sum(
+            integrate.quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+            for a, b in ((0.0, 1.0), (1.0, z), (z, z + 60.0))
+        ) / (2.0 * math.sqrt(math.pi))
+        assert abs(kernel_G(z, QuadratureSpec(abs_tol=1e-12)) - want) <= 2e-12
 
     def test_tail_cut_above_tolerance_raises(self):
         # the s-tail below -40 may hold 41 e^-40 ~ 1.7e-16, above this share
@@ -237,3 +294,8 @@ class TestEnvelopeRho:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             envelope_rho(0.0, 1.0)
+
+    @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_width(self, L):
+        with pytest.raises(ValueError, match="finite"):
+            envelope_rho(L, 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -171,6 +172,33 @@ class TestLogKernelBound:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             log_kernel_bound(make_log_sine(), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u, v: two_sided_profile(u, 0.5, v),
+        lambda u, v: profile_error(u, 4.0, v),
+        lambda u, v: sup_profile_error(u, 0.0, 1.0, 4.0, v),
+        lambda u, v: sup_profile_error(u, 0.0, 1.0, v, 1.0),
+        lambda u, v: envelope_bound(u, 0.0, 1.0, 4.0, v),
+        lambda u, v: envelope_bound(u, 0.0, 1.0, v, 1.0),
+        lambda u, v: log_kernel_bound(u, 0.5, v),
+    ],
+    ids=["two_sided_profile-t", "profile_error-t", "sup_profile_error-t",
+         "sup_profile_error-L", "envelope_bound-t", "envelope_bound-L",
+         "log_kernel_bound-t"],
+)
+def test_rejects_non_finite_time_or_window(call, value):
+    # refused before the datum is read, not after NaN spreads or a
+    # quadrature spends its budget
+    base = make_sub_log(0.5)
+    evals = []
+    u = dataclasses.replace(base, eval=lambda x: evals.append(x) or base.eval(x))
+    with pytest.raises(ValueError, match="finite"):
+        call(u, value)
+    assert not evals
 
 
 class TestAccumulation:

@@ -192,9 +192,14 @@ class TestLargeTimes:
         xs = np.linspace(-4.0, 4.0, 41)
         u = make_gaussian(1.0)
         assert _nodes_used(u, xs, 1e16) <= _nodes_used(u, xs, 1e4)
-        # the log-z segment lengthens like log t: one more doubling at most
+        # the log-z segment lengthens like log t: squaring t costs one more
+        # doubling at most, and t = 1e16 no more than the 13,318 nodes it
+        # took with the fixed window of 14
         u = make_sub_log(0.5)
-        assert _nodes_used(u, xs, 1e16) <= 2 * _nodes_used(u, xs, 1e4)
+        nodes = {t: _nodes_used(u, xs, t) for t in (1e4, 1e8, 1e16)}
+        assert nodes[1e8] <= 2 * nodes[1e4]
+        assert nodes[1e16] <= 2 * nodes[1e8]
+        assert nodes[1e16] <= 13_318
 
     @pytest.mark.parametrize("datum_id", ["step:-1.5,2", "constant:0.5"])
     def test_constant_sided_data_cost_the_same_at_every_time(self, datum_id):
@@ -202,6 +207,31 @@ class TestLargeTimes:
         u = from_id(datum_id)
         xs = np.linspace(-4.0, 4.0, 41)
         assert _nodes_used(u, xs, 1e16) == _nodes_used(u, xs, 1e-2)
+
+
+class TestChargedWindow:
+    # the Gaussian window comes from abs_tol and the datum's sup norm, and the
+    # mass it drops is charged: checked against closed forms out to x = +-40
+    XS = np.concatenate([np.linspace(-40.0, 40.0, 161), [-39.99, 0.0, 39.99]])
+
+    @pytest.mark.parametrize("abs_tol", [1e-10, 1e-13])
+    def test_constant_and_step(self, abs_tol):
+        spec = QuadratureSpec(abs_tol=abs_tol)
+        # F(x) = erfc(-x/2)/2, independent of profile_F
+        want = -1.5 * 0.5 * erfc(0.5 * self.XS) + 2.0 * 0.5 * erfc(-0.5 * self.XS)
+        for t in (1e-4, 1.0, 1e8):
+            got = scaled_evolve_many(make_constant(1.0), self.XS, t, spec)
+            assert np.max(np.abs(got - 1.0)) <= 2 * abs_tol
+            got = scaled_evolve_many(make_step(-1.5, 2.0), self.XS, t, spec)
+            assert np.max(np.abs(got - want)) <= 2 * abs_tol
+
+    @pytest.mark.parametrize("datum_id", ["constant:0", "step:0,0"])
+    def test_zero_datum_is_exactly_zero(self, datum_id):
+        # sup norm 0: no mass to drop, a window of 0, and no log(0)
+        for abs_tol in (1e-10, 1e-13):
+            got = scaled_evolve_many(from_id(datum_id), self.XS, 1.0,
+                                     QuadratureSpec(abs_tol=abs_tol))
+            assert np.all(got == 0.0)
 
 
 class TestHalflinePlan:
@@ -306,12 +336,13 @@ class TestCompressedCells:
             got = scaled_evolve_many(make_step(0.0, 1.0), shuffled, t)
             assert np.max(np.abs(got - profile_F(shuffled))) <= 2e-10
 
-    def test_wide_tail_radius_on_a_dense_grid(self):
-        # cells keep their width whatever the tail radius: cells of half the
-        # radius interpolate 5e-12 off at t = 2, seen only below 1e-11
+    def test_wide_window_on_a_dense_grid(self, monkeypatch):
+        # cells keep their width whatever the Gaussian window: cells of half
+        # the window interpolate 5e-12 off at t = 2, seen only below 1e-11
+        monkeypatch.setattr(semigroup, "gauss_window", lambda tol, sup: 30.0)
         xs = np.linspace(-20.0, 20.0, 2001)
         for abs_tol in (1e-10, 1e-13):
-            spec = QuadratureSpec(abs_tol=abs_tol, tail_radius=30.0)
+            spec = QuadratureSpec(abs_tol=abs_tol)
             for t in (0.3, 2.0):
                 got = scaled_evolve_many(make_gaussian(1.0), xs, t, spec)
                 assert np.max(np.abs(got - _gaussian_scaled(xs, t))) <= 2 * abs_tol
