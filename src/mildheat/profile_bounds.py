@@ -150,6 +150,8 @@ def log_kernel_bound(
     """
     if not 0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
+    if not math.isfinite(x):
+        raise ValueError(f"point must be finite, got {x}")
     if not (math.isfinite(u0.sup_left) and math.isfinite(u0.sup_right)):
         raise ValueError(f"datum {u0.id} lacks finite one-sided slope bounds")
     lhs = abs(scaled_evolve(u0, x, t, spec) - two_sided_profile(u0, x, t))

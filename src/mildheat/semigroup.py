@@ -187,6 +187,8 @@ def scaled_evolve_many(
     if not 0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
     xs = np.asarray(xs, dtype=float)
+    if xs.size == 0 or not np.isfinite(xs).all():
+        raise ValueError("points must be a non-empty array of finite numbers")
     order = np.argsort(xs)
     x = xs[order]
     cells = _cells(x)
@@ -379,6 +381,8 @@ def sliding_average(
     """
     if not 0 < R < math.inf:
         raise ValueError(f"window half-width must be positive and finite, got {R}")
+    if not math.isfinite(x):
+        raise ValueError(f"window centre must be finite, got {x}")
     lo, hi = x - R, x + R
     # the parts of the window on each side of 0, as distances from it
     sides = [(sign, a, b) for sign, a, b in

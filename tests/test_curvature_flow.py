@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -48,6 +49,31 @@ class TestFDSolverConfig:
             _cfg(record_times=(2.0, 1.0))
         with pytest.raises(ValueError):
             _cfg(record_times=(2.0,))  # beyond t_final
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(half_width=math.nan),
+        dict(half_width=math.inf),
+        dict(half_width=0.0),
+        dict(half_width=-1.0),
+        dict(dx=math.nan),
+        dict(dx=math.inf),
+        dict(t_final=math.nan, record_times=(1.0,)),
+        dict(t_final=math.inf),
+        dict(record_times=(math.nan,)),
+        dict(record_times=(0.5, math.nan)),
+        dict(half_width=0.01, dx=0.1),  # one node
+        dict(half_width=0.1, dx=0.15),  # two nodes
+    ],
+    ids=["half_width-nan", "half_width-inf", "half_width-zero", "half_width-negative",
+         "dx-nan", "dx-inf", "t_final-nan", "t_final-inf", "record-nan",
+         "record-late-nan", "one-node", "two-nodes"],
+)
+def test_config_rejects_non_finite_or_degenerate_grids(bad):
+    with pytest.raises(ValueError):
+        _cfg(**bad)
 
 
 class TestSolvers:
@@ -147,6 +173,62 @@ class TestInPlaceMarch:
             early, late = solver(u, both)
             assert np.array_equal(early.values, solver(u, first)[0].values)
             assert not np.shares_memory(early.values, late.values)
+
+
+def _cosine_mode(cfg, k):
+    """The datum cos(pi k (x + X) / (2X)): the k-th DCT-I mode on the grid."""
+    X = cfg.half_width
+    return dataclasses.replace(
+        make_constant(0.0),
+        id=f"dct_mode:{k}",
+        eval=lambda x: np.cos(math.pi * k * (np.asarray(x) + X) / (2.0 * X)),
+    )
+
+
+class TestHeatClosedForm:
+    # each DCT-I mode of the mirror-wall grid is an eigenvector of one
+    # explicit heat step, with eigenvalue 1 - 4 r sin^2(pi k / (2 (n - 1)))
+    CFG = dict(half_width=4.0, dx=0.1, t_final=0.5, record_times=(0.1371, 0.5))
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 40, 79, 80])
+    def test_cosine_mode_decays_by_its_eigenvalue(self, k):
+        cfg = _cfg(**self.CFG)
+        mode = _cosine_mode(cfg, k)
+        xs = cfg.nodes()
+        n = len(xs)
+        dx = xs[1] - xs[0]
+        sin2 = math.sin(math.pi * k / (2 * (n - 1))) ** 2
+        snaps = solve_heat_fd(mode, cfg)
+        factor = 1.0
+        t = 0.0
+        rs = []
+        for target, snap in zip(cfg.record_times, snaps):
+            nsteps = math.ceil((target - t) / (cfg.cfl * dx * dx))
+            r = (target - t) / nsteps / (dx * dx)
+            factor *= (1.0 - 4.0 * r * sin2) ** nsteps
+            rs.append(r)
+            t = target
+            want = factor * mode.eval(xs)
+            assert np.max(np.abs(snap.values - want)) <= 1e-13
+        assert rs[0] != rs[1]
+
+    def test_slow_mode_over_many_steps(self):
+        # 25,001 steps of the slowest mode, lambda^n near 1/e: the rounding
+        # of 1 - a raised to the n-th power would miss by 5e-13 here, so
+        # the reference power is taken in 50-digit decimals
+        cfg = _cfg(half_width=16.0, t_final=100.0, record_times=(100.0,))
+        mode = _cosine_mode(cfg, 1)
+        xs = cfg.nodes()
+        dx = xs[1] - xs[0]
+        nsteps = math.ceil(100.0 / (cfg.cfl * dx * dx))
+        r = 100.0 / nsteps / (dx * dx)
+        sin2 = math.sin(math.pi / (2 * (len(xs) - 1))) ** 2
+        with localcontext() as ctx:
+            ctx.prec = 50
+            factor = float((1 - 4 * Decimal(r) * Decimal(sin2)) ** nsteps)
+        assert nsteps > 25_000 and 0.3 < factor < 0.5
+        snap = solve_heat_fd(mode, cfg)[0]
+        assert np.max(np.abs(snap.values - factor * mode.eval(xs))) <= 1e-13
 
 
 class TestCurvatureHeatGap:

@@ -201,6 +201,17 @@ def test_rejects_non_finite_time_or_window(call, value):
     assert not evals
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_log_kernel_bound_rejects_non_finite_point(x):
+    # refused before the datum is read or kernel_G opens its panels
+    base = make_sub_log(0.5)
+    evals = []
+    u = dataclasses.replace(base, eval=lambda y: evals.append(y) or base.eval(y))
+    with pytest.raises(ValueError, match="finite"):
+        log_kernel_bound(u, x, 1.0)
+    assert not evals
+
+
 class TestAccumulation:
     def test_step_pairs_are_constant(self):
         pairs = accumulation_samples(make_step(-1.0, 2.0), (1.0, 10.0, 100.0))

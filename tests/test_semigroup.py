@@ -109,6 +109,36 @@ def test_rejects_non_finite_time_or_window(call, value):
     assert not evals
 
 
+def _unread_datum():
+    """sub_log:0.5 that records every evaluation, and the list it records to."""
+    base = make_sub_log(0.5)
+    evals = []
+    return dataclasses.replace(base, eval=lambda x: evals.append(x) or base.eval(x)), evals
+
+
+@pytest.mark.parametrize(
+    "points", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0], []],
+    ids=["nan", "inf", "-inf", "empty"],
+)
+@pytest.mark.parametrize("call", [scaled_evolve_many, evolve_on_grid])
+def test_rejects_non_finite_or_empty_points(call, points):
+    # refused before the datum is read
+    u, evals = _unread_datum()
+    with pytest.raises(ValueError, match="finite"):
+        call(u, points, 1.0)
+    assert not evals
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [scaled_evolve, evolve, sliding_average])
+def test_rejects_non_finite_point(call, x):
+    # the third argument is t = 1 for the heat calls and R = 1 for the window
+    u, evals = _unread_datum()
+    with pytest.raises(ValueError, match="finite"):
+        call(u, x, 1.0)
+    assert not evals
+
+
 def _quadpack_scaled(u, x, t):
     """u(sqrt(t) x, t) at one point by QUADPACK, independent of the engine:
 
