@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .initial_data import DecayClass, InitialDatum
-from .kernels import DEFAULT_SPEC, QuadratureSpec
+from .kernels import DEFAULT_SPEC, QuadratureSpec, _positive
 from .profile_bounds import two_sided_profile
 from .semigroup import GridFunction, evolve_on_grid
 
@@ -61,24 +61,14 @@ class FDSolverConfig:
     cfl: float = 0.4
 
     def __post_init__(self) -> None:
-        if not 0 < self.half_width < math.inf:
-            raise ValueError(
-                f"half_width must be positive and finite, got {self.half_width}"
-            )
-        if not 0 < self.dx < math.inf:
-            raise ValueError(f"dx must be positive and finite, got {self.dx}")
+        _positive("half_width", self.half_width)
+        _positive("dx", self.dx)
         if not 0 < self.cfl <= 0.5:
             raise ValueError(f"cfl must lie in (0, 0.5], got {self.cfl}")
-        if not 0 < self.t_final < math.inf:
-            raise ValueError(
-                f"t_final must be positive and finite, got {self.t_final}"
-            )
-        times = tuple(self.record_times)
-        if (not times or not all(map(math.isfinite, times))
-                or list(times) != sorted(times) or times[0] <= 0):
-            raise ValueError("record_times must be finite, positive and increasing")
-        if times[-1] > self.t_final:
-            raise ValueError("record_times must not exceed t_final")
+        _positive("t_final", self.t_final)
+        times = [_positive("record time", t) for t in self.record_times]
+        if not times or times != sorted(times) or times[-1] > self.t_final:
+            raise ValueError("record_times must be non-empty, increasing, up to horizon t_final")
         if self._node_count() < 3:
             raise ValueError(
                 f"half_width {self.half_width:g} and dx {self.dx:g} give fewer "
@@ -239,11 +229,11 @@ def curvature_heat_gap(
     certified to spec.abs_tol.  The sup runs over grid points at least
     8 sqrt(T) away from the walls.
     """
-    snaps = solve_cf(u0, cfg)
     xs = cfg.nodes()
     mask = np.abs(xs) <= cfg.half_width - cfg.buffer
     if not np.any(mask):
         raise ValueError("domain-of-influence buffer leaves no interior points")
+    snaps = solve_cf(u0, cfg)
     out = []
     for t, snap in zip(cfg.record_times, snaps):
         ref = evolve_on_grid(u0, xs[mask], t, spec)
@@ -265,32 +255,30 @@ def flow_profile_error(
     similarity grid sqrt(t) * [-L, L] and compared against the two-sided
     profile; returns (t, sup_error) pairs.
     """
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
+    _positive("L", L)
     if u0.decay_class is not DecayClass.DECAYS_AT_INFINITY:
         raise ValueError(
             f"profile comparison needs a datum whose slope functional decays "
             f"at infinity, got {u0.id}"
         )
     ladder = tuple(t_ladder)
-    if any(t > cfg.t_final for t in ladder):
-        raise ValueError("ladder times exceed the solver horizon t_final")
+    run_cfg = replace(cfg, record_times=ladder)
+    for t in ladder:
+        if math.sqrt(t) * L > cfg.half_width - cfg.buffer:
+            raise ValueError(
+                f"similarity window sqrt({t:g})*{L:g} reaches into the "
+                f"boundary buffer; enlarge half_width"
+            )
     # imported here: scipy.interpolate is the slowest import of the package,
     # and no other caller needs it
     from scipy.interpolate import CubicSpline
 
-    run_cfg = replace(cfg, record_times=ladder)
     snaps = solve_cf(u0, run_cfg)
     xs = run_cfg.nodes()
     zs = np.linspace(-L, L, n)
     out = []
     for t, snap in zip(ladder, snaps):
         st = math.sqrt(t)
-        if st * L > cfg.half_width - cfg.buffer:
-            raise ValueError(
-                f"similarity window sqrt({t:g})*{L:g} reaches into the "
-                f"boundary buffer; enlarge half_width"
-            )
         vals = CubicSpline(xs, snap.values)(st * zs)
         prof = two_sided_profile(u0, zs, t)
         out.append((t, float(np.max(np.abs(vals - prof)))))

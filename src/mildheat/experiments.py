@@ -40,6 +40,10 @@ CSV_HEADERS = {
     "sliding-average": "R,average,delta_prev",
 }
 
+# keys whose values must be positive (s_values: nonzero), and ladders that must increase
+_POSITIVE = ("L", "t_ladder", "lambda_ladder", "R_ladder", "h_ladder", "alphas")
+_INCREASING = ("t_ladder", "lambda_ladder", "R_ladder")
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
@@ -74,17 +78,14 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must not be empty")
             if not all(math.isfinite(v) for v in vals):
                 raise ConfigError(f"{key} must be finite, got {val}")
-        p = self.params
-        if p.get("L", 1.0) <= 0:
-            raise ConfigError(f"L must be positive, got {p['L']}")
-        if p.get("n", 3) < 3:
-            raise ConfigError(f"n must be at least 3, got {p['n']}")
-        for name in ("t_ladder", "lambda_ladder", "R_ladder"):
-            ladder = p.get(name, ())
-            if any(v <= 0 for v in ladder):
-                raise ConfigError(f"{name} entries must be positive")
-            if list(ladder) != sorted(set(ladder)):
-                raise ConfigError(f"{name} must be strictly increasing")
+            if key in _POSITIVE and min(vals) <= 0:
+                raise ConfigError(f"{key} must be positive, got {val}")
+            if key == "s_values" and 0.0 in vals:
+                raise ConfigError(f"{key} must not hold 0, got {val}")
+            if key in _INCREASING and list(vals) != sorted(set(vals)):
+                raise ConfigError(f"{key} must be strictly increasing")
+        if self.params.get("n", 3) < 3:
+            raise ConfigError(f"n must be at least 3, got {self.params['n']}")
 
 
 def _parse(default, val: str):

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .kernels import _finite, _positive
+
 E = math.e
 
 
@@ -52,6 +54,8 @@ def make_step(a: float, b: float) -> InitialDatum:
     The value at 0 is fixed to (a+b)/2 by convention (measure-zero point,
     irrelevant to every integral).
     """
+    _finite("a", a)
+    _finite("b", b)
 
     def ev(x):
         return np.where(np.asarray(x, dtype=float) < 0, a,
@@ -73,6 +77,8 @@ def make_step(a: float, b: float) -> InitialDatum:
 
 
 def make_constant(c: float) -> InitialDatum:
+    _finite("c", c)
+
     def ev(x):
         return np.full_like(np.asarray(x, dtype=float), c)
 
@@ -192,8 +198,7 @@ def make_gaussian(s: float) -> InitialDatum:
 
     |x u0'(x)| = (x^2/(2s)) exp(-x^2/(4s)) peaks at x^2 = 4s with value 2/e.
     """
-    if s <= 0:
-        raise ValueError(f"width parameter must be positive, got {s}")
+    _positive("s", s)
 
     def ev(x):
         return np.exp(-np.asarray(x, dtype=float) ** 2 / (4.0 * s))
@@ -214,28 +219,30 @@ def make_gaussian(s: float) -> InitialDatum:
     )
 
 
+# id name -> (factory, number of comma-separated parameters after the colon)
+_FACTORIES = {
+    "step": (make_step, 2),
+    "constant": (make_constant, 1),
+    "log_sine": (make_log_sine, 0),
+    "sub_log": (make_sub_log, 1),
+    "smooth_log_sine": (make_smooth_log_sine, 1),
+    "gaussian": (make_gaussian, 1),
+}
+
+
 def from_id(datum_id: str) -> InitialDatum:
     """Resolve a catalog string id, e.g. "step:0,1" or "sub_log:0.5"."""
     name, _, args = datum_id.partition(":")
+    if name not in _FACTORIES:
+        raise ValueError(f"unknown datum id {datum_id!r}")
+    factory, count = _FACTORIES[name]
+    params = args.split(",") if args else []
     try:
-        if name == "step":
-            a, b = (float(v) for v in args.split(","))
-            return make_step(a, b)
-        if name == "constant":
-            return make_constant(float(args))
-        if name == "log_sine":
-            if args:
-                raise ValueError("log_sine takes no parameters")
-            return make_log_sine()
-        if name == "sub_log":
-            return make_sub_log(float(args))
-        if name == "smooth_log_sine":
-            return make_smooth_log_sine(float(args))
-        if name == "gaussian":
-            return make_gaussian(float(args))
+        if len(params) != count:
+            raise ValueError(f"{name} takes {count} parameter(s), got {len(params)}")
+        return factory(*map(float, params))
     except ValueError as exc:
         raise ValueError(f"bad datum id {datum_id!r}: {exc}") from None
-    raise ValueError(f"unknown datum id {datum_id!r}")
 
 
 def catalog() -> list[str]:

@@ -26,6 +26,20 @@ _ERF = np.frompyfunc(math.erf, 1, 1)
 _TAIL_PART = 1.0 / 16.0
 
 
+def _positive(what: str, v: float) -> float:
+    """v if it is positive and finite; ValueError naming what otherwise."""
+    if not 0 < v < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {v}")
+    return v
+
+
+def _finite(what: str, v: float) -> float:
+    """v if it is finite; ValueError naming what otherwise."""
+    if not math.isfinite(v):
+        raise ValueError(f"{what} must be finite, got {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Evaluation budget for Gaussian-convolution integrals.
@@ -38,8 +52,7 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not 0 < self.abs_tol < math.inf:
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
+        _positive("abs_tol", self.abs_tol)
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -119,8 +132,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
 def heat_kernel(x, t: float):
     """Gaussian fundamental solution (1/(2 sqrt(pi t))) exp(-x^2/(4t)); x may
     be a scalar or an array."""
-    if not 0 < t < math.inf:
-        raise ValueError(f"time must be positive and finite, got {t}")
+    _positive("t", t)
     out = np.exp(-np.square(x) / (4.0 * t)) / (2.0 * math.sqrt(math.pi * t))
     return float(out) if out.ndim == 0 else out
 
@@ -138,6 +150,7 @@ def profile_F(z):
 def profile_F_quad(z: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Quadrature cross-check of profile_F, independent of the erf identity;
     0 or 1 beyond +-gauss_window(abs_tol, 1), charged _TAIL_PART of abs_tol."""
+    _finite("z", z)
     w = gauss_window(spec.abs_tol, 1.0)
     if abs(z) >= w:
         return float(z > 0)
@@ -157,6 +170,7 @@ def kernel_G(z: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     bound on the mass it drops to its share of the tolerance and gives
     Simpson the rest; UncertifiedQuadrature is raised if a bound takes it all.
     """
+    _finite("z", z)
     tol = spec.abs_tol * SQRT_PI  # split the budget over the two pieces
     w = gauss_window(spec.abs_tol, 1.0)
     s_cut, upper = -40.0, max(1.0, z) + w
@@ -186,8 +200,7 @@ def envelope_rho(L: float, z):
     Equals 1 on [-L, L] and exp(-d^2/4) with d = |z| - L outside; even in z,
     which may be a scalar or an array.
     """
-    if not 0 < L < math.inf:
-        raise ValueError(f"window half-width must be positive and finite, got {L}")
+    _positive("L", L)
     d = np.maximum(np.abs(z) - L, 0.0)
     out = np.exp(-0.25 * d * d)
     return float(out) if out.ndim == 0 else out

@@ -40,8 +40,8 @@ def profile_F_trapezoid(z: float, panels: int = 1_000_000) -> float:
 def heat_kernel_mass_trapezoid(t: float, tail_radius: float = 14.0,
                                panels: int = 1_000_000) -> float:
     """Integral of the heat kernel over |x| <= tail_radius * sqrt(t)."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"t must be positive and finite, got {t}")
     w = tail_radius * math.sqrt(t)
     x = np.linspace(-w, w, panels + 1)
     k = np.exp(-x * x / (4.0 * t)) / (2.0 * math.sqrt(math.pi * t))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial_data import InitialDatum
-from .kernels import _TAIL_PART, DEFAULT_SPEC, SQRT_PI, QuadratureSpec, envelope_rho
-from .kernels import gauss_window, kernel_G, profile_F
+from .kernels import _TAIL_PART, DEFAULT_SPEC, SQRT_PI, QuadratureSpec, _finite, _positive
+from .kernels import envelope_rho, gauss_window, kernel_G, profile_F
 from .semigroup import _halfline_integral, _one_sided, scaled_evolve, scaled_evolve_many
 
 
@@ -31,17 +31,15 @@ class ProfileErrorReport:
     coeff_right: float  # u0(+sqrt(t))
 
     def __post_init__(self) -> None:
-        if not (0 < self.t < math.inf and 0 < self.L < math.inf):
-            raise ValueError("t and L must be positive and finite")
+        _positive("t", self.t)
+        _positive("L", self.L)
         if self.sup_error < 0:
             raise ValueError("sup_error must be nonnegative")
 
 
 def two_sided_profile(u0: InitialDatum, x, t: float):
     """F(-x) u0(-sqrt(t)) + F(+x) u0(+sqrt(t)); x may be a scalar or an array."""
-    if not 0 < t < math.inf:
-        raise ValueError(f"time must be positive and finite, got {t}")
-    st = math.sqrt(t)
+    st = math.sqrt(_positive("t", t))
     return profile_F(-x) * float(u0.eval(-st)) + profile_F(x) * float(u0.eval(st))
 
 
@@ -55,8 +53,10 @@ def sup_profile_error(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
     """Grid max over [-L, L] of |u(sqrt(t) x, t) - (a F(-x) + b F(+x))|."""
-    if not (0 < L < math.inf and 0 < t < math.inf):
-        raise ValueError(f"L and t must be positive and finite, got {L} and {t}")
+    _finite("a", a)
+    _finite("b", b)
+    _positive("L", L)
+    _positive("t", t)
     if n < 3:
         raise ValueError(f"need at least 3 grid nodes, got {n}")
     xs = np.linspace(-L, L, n)
@@ -72,9 +72,8 @@ def profile_error(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> ProfileErrorReport:
     """Measure the profile error with the natural coefficients u0(+-sqrt(t))."""
-    if not 0 < t < math.inf:
-        raise ValueError(f"time must be positive and finite, got {t}")
-    st = math.sqrt(t)
+    _positive("L", L)
+    st = math.sqrt(_positive("t", t))
     a = float(u0.eval(-st))
     b = float(u0.eval(st))
     sup = sup_profile_error(u0, a, b, L, t, n, spec)
@@ -96,9 +95,10 @@ def envelope_bound(
     where rho_L is the sup of Gaussians shifted over [-L, L].  Valid for every
     choice of constants.  It stops at L + gauss_window(abs_tol, 2 sup|u0| + |a| + |b|).
     """
-    if not (0 < L < math.inf and 0 < t < math.inf):
-        raise ValueError(f"L and t must be positive and finite, got {L} and {t}")
-    st = math.sqrt(t)
+    _finite("a", a)
+    _finite("b", b)
+    _positive("L", L)
+    st = math.sqrt(_positive("t", t))
 
     def g(z):
         return envelope_rho(L, z) * (
@@ -124,10 +124,8 @@ def dilation_difference_bound(
     The annulus sup is estimated from log-spaced samples on both signs and
     inflated by 1% (catalog slope functionals vary slowly on the log scale).
     """
-    if alpha <= 0:
-        raise ValueError(f"dilation factor must be positive, got {alpha}")
-    if s == 0:
-        raise ValueError("dilation estimate is undefined at s = 0")
+    _positive("alpha", alpha)
+    _positive("|s|", abs(s))  # the estimate is undefined at s = 0
     lhs = abs(float(u0.eval(s * alpha)) - float(u0.eval(s)))
     r_lo = min(alpha, 1.0 / alpha) * abs(s)
     r_hi = max(alpha, 1.0 / alpha) * abs(s)
@@ -148,10 +146,8 @@ def log_kernel_bound(
     |u(sqrt(t) x, t) - two_sided_profile| <= G(-x) sup_{y<0}|y u0'(y)|
                                            + G(+x) sup_{y>0}|y u0'(y)|.
     """
-    if not 0 < t < math.inf:
-        raise ValueError(f"time must be positive and finite, got {t}")
-    if not math.isfinite(x):
-        raise ValueError(f"point must be finite, got {x}")
+    _finite("x", x)
+    _positive("t", t)
     if not (math.isfinite(u0.sup_left) and math.isfinite(u0.sup_right)):
         raise ValueError(f"datum {u0.id} lacks finite one-sided slope bounds")
     lhs = abs(scaled_evolve(u0, x, t, spec) - two_sided_profile(u0, x, t))
@@ -168,12 +164,8 @@ def accumulation_samples(
     profiles; consumers plot these against fitted profile coefficients and
     never assert set equality.
     """
-    out = []
-    for lam in lambda_ladder:
-        if lam <= 0:
-            raise ValueError(f"dilation values must be positive, got {lam}")
-        out.append((float(u0.eval(-lam)), float(u0.eval(lam))))
-    return out
+    lams = [_positive("lambda", lam) for lam in lambda_ladder]
+    return [(float(u0.eval(-lam)), float(u0.eval(lam))) for lam in lams]
 
 
 def fit_profile_coefficients(xs: np.ndarray, values: np.ndarray) -> tuple[float, float]:

@@ -56,6 +56,8 @@ from .kernels import (
     SQRT_PI,
     QuadratureSpec,
     UncertifiedQuadrature,
+    _finite,
+    _positive,
     adaptive_simpson,
     gauss_window,
 )
@@ -184,8 +186,7 @@ def scaled_evolve_many(
     and both sides share the cells: the side z < 0 is the Gaussian sum at x
     over the mirrored nodes -z.
     """
-    if not 0 < t < math.inf:
-        raise ValueError(f"time must be positive and finite, got {t}")
+    _positive("t", t)
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0 or not np.isfinite(xs).all():
         raise ValueError("points must be a non-empty array of finite numbers")
@@ -354,9 +355,7 @@ def evolve(
     u0: InitialDatum, x: float, t: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
     """Heat evolution at a physical point: u(x, t) = scaled_evolve at x/sqrt(t)."""
-    if not 0 < t < math.inf:
-        raise ValueError(f"time must be positive and finite, got {t}")
-    return scaled_evolve(u0, x / math.sqrt(t), t, spec)
+    return scaled_evolve(u0, x / math.sqrt(_positive("t", t)), t, spec)
 
 
 def evolve_on_grid(
@@ -366,9 +365,8 @@ def evolve_on_grid(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> np.ndarray:
     """Heat evolution u(x, t) at an array of physical points, in input order."""
-    if not 0 < t < math.inf:
-        raise ValueError(f"time must be positive and finite, got {t}")
-    return scaled_evolve_many(u0, np.asarray(xs, dtype=float) / math.sqrt(t), t, spec)
+    st = math.sqrt(_positive("t", t))
+    return scaled_evolve_many(u0, np.asarray(xs, dtype=float) / st, t, spec)
 
 
 def sliding_average(
@@ -379,10 +377,8 @@ def sliding_average(
     Probes the stabilization criterion along a ladder of window widths; the
     package only reports finite-R trends, never the limit itself.
     """
-    if not 0 < R < math.inf:
-        raise ValueError(f"window half-width must be positive and finite, got {R}")
-    if not math.isfinite(x):
-        raise ValueError(f"window centre must be finite, got {x}")
+    _positive("R", R)
+    _finite("x", x)
     lo, hi = x - R, x + R
     # the parts of the window on each side of 0, as distances from it
     sides = [(sign, a, b) for sign, a, b in
@@ -411,10 +407,11 @@ def rescaled_residual(
     variables, and returns the interior sup of |v_t - v_xx - (x/2) v_x|.
     The residual shrinks at O(h^2) for exact evaluation.
     """
-    if h <= 0:
-        raise ValueError(f"difference step must be positive, got {h}")
-    if x_window <= 0:
-        raise ValueError(f"window must be positive, got {x_window}")
+    _positive("h", h)
+    _positive("x_window", x_window)
+    _finite("tau", tau)
+    if tau + h > math.log(np.finfo(float).max):
+        raise ValueError(f"e^(tau + h) must be finite, got tau + h = {tau + h!r}")
     n = int(round(2.0 * x_window / h)) + 1
     if n < 3:
         raise ValueError("window too small for the given step: fewer than 3 nodes")

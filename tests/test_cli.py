@@ -82,6 +82,8 @@ class TestRun:
             ("profile-error", "sub_log:0.5", "L = nan"),
             ("profile-error", "sub_log:0.5", "t_ladder = nan"),
             ("sliding-average", "log_sine", "R_ladder = 10, inf"),
+            # the largest time e^(tau + h) overflows a float
+            ("rescaled-check", "constant:0.5", "tau = 800"),
         ],
     )
     def test_non_finite_value_is_a_config_error(self, tmp_path, capsys, kind, datum, line):
@@ -90,6 +92,17 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
         assert "must be finite" in capsys.readouterr().out
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, datum", [("profile-error", "constant:nan"), ("dilation-bound", "gaussian:nan")]
+    )
+    def test_non_finite_datum_parameter_is_a_config_error(self, tmp_path, capsys, kind, datum):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(f"kind = {kind}\ndatum = {datum}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"config-error: bad datum id '{datum}'" in capsys.readouterr().out
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -113,6 +126,14 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
         assert "line 3: unknown key" in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_solver_failure_prints_its_reason(self, tmp_path, capsys):
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text("kind = profile-error\ndatum = sub_log:0.5\nabs_tol = 1e-300\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().out.startswith("solver-failure: ")
         assert not out.exists()
 
     @staticmethod

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from mildheat import curvature_flow
 from mildheat.curvature_flow import (
     FDSolverConfig,
     SolverFailure,
@@ -284,6 +285,28 @@ class TestFlowProfileError:
             assert np.array_equal(two_sided_profile(u, zs, t), prof)
             vals = CubicSpline(cfg.nodes(), snap.values)(math.sqrt(t) * zs)
             assert err == float(np.max(np.abs(vals - prof)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # windows 8, 16, 32 against 80 - 8 sqrt(64) = 16: only t = 64 fails
+        lambda u: flow_profile_error(
+            u, _cfg(half_width=80.0, t_final=64.0, record_times=(64.0,)), 4.0,
+            (4.0, 16.0, 64.0)),
+        # the buffer 8 sqrt(100) = 80 covers the whole half-width 60
+        lambda u: curvature_heat_gap(
+            u, _cfg(half_width=60.0, t_final=100.0, record_times=(1.0, 100.0))),
+    ],
+    ids=["flow_profile_error", "curvature_heat_gap"],
+)
+def test_buffer_is_checked_before_marching(monkeypatch, call):
+    def no_march(*args):
+        raise AssertionError("solve_cf was called")
+
+    monkeypatch.setattr(curvature_flow, "solve_cf", no_march)
+    with pytest.raises(ValueError, match="buffer"):
+        call(make_smooth_log_sine(0.5))
 
 
 class TestSolverFailure:

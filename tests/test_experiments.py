@@ -113,6 +113,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             ExperimentConfig("profile-error", "log_sine", {key: value})
 
+    @pytest.mark.parametrize(
+        "kind, key, value, message",
+        [
+            ("rescaled-check", "h_ladder", (1e-2, -1e-3), "h_ladder must be positive"),
+            ("dilation-bound", "alphas", (0.5, 0.0), "alphas must be positive"),
+            ("dilation-bound", "s_values", (-1.0, 0.0, 1.0), "s_values must not hold 0"),
+        ],
+    )
+    def test_every_entry_is_checked_before_the_run(self, kind, key, value, message):
+        # refused before the first entry is computed, not at the bad one
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(kind, "log_sine", {key: value})
+
     def test_key_the_kind_does_not_read(self):
         with pytest.raises(ConfigError, match="does not read key 't_ladder'"):
             ExperimentConfig("dilation-bound", "log_sine", {"t_ladder": (5.0,)})
@@ -160,6 +173,24 @@ class TestRun:
         result = run(_config("sliding-average", "constant:0.5", tmp_path))
         assert result.exit_code == 0
         assert result.summary["scalars"]["average_last"] == pytest.approx(0.5)
+
+    def test_profile_error_of_a_step_is_exact(self, tmp_path):
+        # a step evolves exactly onto its profile, so the derivative-free
+        # verdict needs every sup error within 2 abs_tol, at every t
+        cfg = _config("profile-error", "step:0,1", tmp_path, t_ladder=(1.0, 1e4), n=21)
+        result = run(cfg)
+        assert result.exit_code == 0
+        scalars = result.summary["scalars"]
+        assert max(scalars["sup_error_first"], scalars["sup_error_last"]) <= 2e-10
+
+    def test_curvature_gap_of_a_constant_is_zero(self, tmp_path):
+        # both flows keep a constant, so every gap is rounding and the run
+        # passes on the gaps-below-1e-8 branch, not on their ratio
+        cfg = _config("curvature-gap", "constant:0.5", tmp_path, t_ladder=(1.0, 4.0),
+                      fd_half_width=40.0, fd_dx=0.2)
+        result = run(cfg)
+        assert result.exit_code == 0
+        assert result.summary["scalars"]["gap_max"] <= 1e-8
 
     def test_assertion_failure_exits_1(self, tmp_path, monkeypatch):
         monkeypatch.setattr(

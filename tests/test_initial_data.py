@@ -141,5 +141,12 @@ class TestFromId:
         with pytest.raises(ValueError):
             from_id("log_sine:3")
 
+    @pytest.mark.parametrize(
+        "datum_id", ["constant:nan", "step:0,inf", "step:-inf,1", "gaussian:inf", "gaussian:nan"]
+    )
+    def test_non_finite_parameter(self, datum_id):
+        with pytest.raises(ValueError, match=f"bad datum id '{datum_id}': .* must be"):
+            from_id(datum_id)
+
     def test_repr_is_compact(self):
         assert repr(from_id("log_sine")) == "InitialDatum('log_sine')"
