@@ -95,7 +95,11 @@ def main(argv=None) -> int:
         return worst
 
     if args.verb == "oracle":
-        value = oracles.ORACLES[args.function](args.arg)
+        try:
+            value = oracles.ORACLES[args.function](args.arg)
+        except ValueError as exc:
+            print(f"config-error: {exc}")
+            return 2
         print(f"{value:.15e}")
         return 0
 

@@ -16,7 +16,7 @@ import inspect
 import json
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,23 +126,23 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(kind, datum_id, params)
 
 
-def _umask() -> int:
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return mask
-
-
 def _atomic_write(path: str, content: str) -> None:
     """Write content to path through a private temporary file in the same
     directory, so concurrent writers never share or expose a partial file.
-    The file gets the mode a plain open() would give it, and its directory
-    is created if missing, so a run that fails before writing leaves none."""
+    The temporary file is created with mode 0o666 under the process umask,
+    so it gets the mode a plain open() would give it, and its directory is
+    created if missing, so a run that fails before writing leaves none."""
     directory, name = os.path.split(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    while True:
+        tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~_umask())
             fh.write(content)
         os.replace(tmp, path)
     except BaseException:
@@ -335,10 +335,10 @@ def _run_rescaled_check(u0, *, h_ladder=(1e-2, 5e-3), x_window=4.0, tau=0.0,
 
 
 def _run_curvature_gap(u0, *, t_ladder=(1.0, 3.0, 10.0, 30.0, 100.0),
-                       fd_half_width=400.0, fd_dx=0.1, fd_cfl=0.4, abs_tol=1e-10):
+                       fd_half_width=400.0, fd_dx=0.1, abs_tol=1e-10):
     spec = QuadratureSpec(abs_tol=abs_tol)
     fd = FDSolverConfig(half_width=fd_half_width, dx=fd_dx, t_final=max(t_ladder),
-                        record_times=t_ladder, cfl=fd_cfl)
+                        record_times=t_ladder)
     gaps = curvature_flow.curvature_heat_gap(u0, fd, spec)
     chart = [("gap", [(t, max(g, 1e-16)) for t, g in gaps])], True, True
     vals = [g for _, g in gaps]
@@ -350,9 +350,9 @@ def _run_curvature_gap(u0, *, t_ladder=(1.0, 3.0, 10.0, 30.0, 100.0),
 
 
 def _run_flow_profile_error(u0, *, t_ladder=(4.0, 16.0, 64.0), L=4.0, n=401,
-                            fd_half_width=120.0, fd_dx=0.1, fd_cfl=0.4):
+                            fd_half_width=120.0, fd_dx=0.1):
     fd = FDSolverConfig(half_width=fd_half_width, dx=fd_dx, t_final=max(t_ladder),
-                        record_times=t_ladder, cfl=fd_cfl)
+                        record_times=t_ladder)
     errs = curvature_flow.flow_profile_error(u0, fd, L, t_ladder, n)
     chart = [("sup_error", [(t, max(e, 1e-16)) for t, e in errs])], True, True
     ok = errs[-1][1] <= errs[0][1]

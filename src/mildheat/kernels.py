@@ -166,22 +166,26 @@ def kernel_G(z: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     The integrable log singularity at y=0 is resolved by substituting y = e^s
     on (0, 1], which turns that piece into int_{-inf}^0 e^{-(z-e^s)^2/4} (-s) e^s ds
     with a uniformly smooth integrand, cut at s = -40; the piece on [1, inf)
-    is cut at max(1, z) + gauss_window(abs_tol, 1).  Each piece charges a
+    is cut to [max(1, z - w), max(1, z) + w], w = gauss_window(abs_tol, 1),
+    so its panels stay on the kernel's scale at any z.  Each piece charges a
     bound on the mass it drops to its share of the tolerance and gives
     Simpson the rest; UncertifiedQuadrature is raised if a bound takes it all.
     """
     _finite("z", z)
     tol = spec.abs_tol * SQRT_PI  # split the budget over the two pieces
     w = gauss_window(spec.abs_tol, 1.0)
-    s_cut, upper = -40.0, max(1.0, z) + w
+    s_cut, lo, upper = -40.0, max(1.0, z - w), max(1.0, z) + w
     # dropped below s_cut: at most int_{-inf}^{s_cut} |s| e^s ds; above upper,
     # where log y <= log(upper) + (y - upper), at most
-    # log(upper) sqrt(pi) erfc(w/2) + int_w^inf v e^{-v^2/4} dv
+    # log(upper) sqrt(pi) erfc(w/2) + int_w^inf v e^{-v^2/4} dv; on [1, lo],
+    # where 0 <= log y <= log(lo), at most log(lo) sqrt(pi) erfc(w/2)
     drop = ((1.0 - s_cut) * math.exp(s_cut),
-            math.log(upper) * SQRT_PI * math.erfc(0.5 * w) + 2.0 * math.exp(-0.25 * w * w))
+            math.log(upper) * SQRT_PI * math.erfc(0.5 * w) + 2.0 * math.exp(-0.25 * w * w)
+            + math.log(lo) * SQRT_PI * math.erfc(0.5 * w))
     if max(drop) >= tol:
-        raise UncertifiedQuadrature(f"kernel_G: the s-tail below {s_cut:g} and the tail above "
-                                    f"{upper:g} may hold {drop[0]:.3g}, {drop[1]:.3g} >= {tol:.3g}")
+        raise UncertifiedQuadrature(f"kernel_G: the s-tail below {s_cut:g} and the tails outside "
+                                    f"[{lo:g}, {upper:g}] may hold {drop[0]:.3g}, {drop[1]:.3g} "
+                                    f">= {tol:.3g}")
 
     def lower(s):
         y = np.exp(s)
@@ -189,7 +193,7 @@ def kernel_G(z: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
 
     val = adaptive_simpson(lower, s_cut, 0.0, tol - drop[0])
     val += adaptive_simpson(
-        lambda y: np.exp(-0.25 * (z - y) ** 2) * np.log(y), 1.0, upper, tol - drop[1]
+        lambda y: np.exp(-0.25 * (z - y) ** 2) * np.log(y), lo, upper, tol - drop[1]
     )
     return val / (2.0 * SQRT_PI)
 

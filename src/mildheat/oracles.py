@@ -20,6 +20,8 @@ def kernel_G_trapezoid(z: float, panels: int = 1_000_000) -> float:
     Same split as the production evaluator (y = e^s below 1, direct above) but
     summed with fixed uniform panels.
     """
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     s = np.linspace(-40.0, 0.0, panels + 1)
     ys = np.exp(s)
     low = np.trapezoid(np.exp(-0.25 * (z - ys) ** 2) * (-s) * ys, s)
@@ -31,6 +33,8 @@ def kernel_G_trapezoid(z: float, panels: int = 1_000_000) -> float:
 
 def profile_F_trapezoid(z: float, panels: int = 1_000_000) -> float:
     """Cumulative Gaussian (variance 2) by dense trapezoid from -14."""
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     if z <= -14.0:
         return 0.0
     y = np.linspace(-14.0, z, panels + 1)

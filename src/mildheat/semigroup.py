@@ -65,8 +65,8 @@ from .kernels import (
 _TINY = float(np.finfo(float).tiny)
 # points x nodes in one Gaussian block of the heat engine: bounds its memory
 _BLOCK = 1 << 14
-# panels of a heat segment's first Simpson level, and the count at which a
-# segment still uncertified raises
+# the fewest panels of a heat segment's first Simpson level, and the most
+# panels any of its levels may hold
 _FIRST_PANELS, _PANEL_CAP = 256, 1 << 17
 # the heat engine cuts its sorted points into cells spanning at most _CELL
 # similarity units; a cell of more than 2 _TARGETS points is summed at
@@ -212,18 +212,24 @@ def _refined_halfline_segment(u0, x, cells, st, sign, kind, a, b, tol, w):
     """Certified int_a^b e^{-(x - sign z)^2/4} u0(sign st z) dz at ascending x.
 
     cells is _cells(x).  kind "log" integrates in s = log z over [a, b]
-    instead.  Composite Simpson doubles its panel count n from
-    _FIRST_PANELS, each level built from the trapezoid sum T and the
-    midpoint sum M of the level before: S_2m = (T_m + 2 M_m)/3 and
-    T_2m = (T_m + M_m)/2, so a level evaluates the datum and the Gaussian
-    only at its new midpoints.  Each level's Gaussian sum is interpolated
-    on the dense cells when its bound eps fits _INTERP_PART of tol, and is
-    summed at every point otherwise.  T, M and S inherit the largest eps of
-    the levels they are built from, which moves the Richardson estimate by
-    at most 2 eps/15 and the returned value by 17 eps/15.  Returns
+    instead.  Composite Simpson doubles its panel count n, each level built
+    from the trapezoid sum T and the midpoint sum M of the level before:
+    S_2m = (T_m + 2 M_m)/3 and T_2m = (T_m + M_m)/2, so a level evaluates the
+    datum and the Gaussian only at its new midpoints.  The first T has
+    _FIRST_PANELS/2 panels, or, on a "lin" segment, enough that its nodes
+    lie at most h0 = 2 pi / sqrt(log(1/tol)) apart: at spacing h the
+    trapezoid sum of e^{-(x - z)^2/4} misses about 2 e^{-4 pi^2/h^2} of its
+    mass, so no level steps over a far point's Gaussian and certifies a sum
+    that never saw it.  Each level's Gaussian sum is interpolated on the
+    dense cells when its bound eps fits _INTERP_PART of tol, and is summed
+    at every point otherwise.  T, M and S inherit the largest eps of the
+    levels they are built from, which moves the Richardson estimate by at
+    most 2 eps/15 and the returned value by 17 eps/15.  Returns
     S_n + (S_n - S_{n/2})/15 once max |S_n - S_{n/2}| + 19 eps <= 15 tol
-    (the Richardson certificate with the interpolation charged); raises
-    UncertifiedQuadrature if n reaches _PANEL_CAP first.
+    (the Richardson certificate with the interpolation charged).  No level
+    holds more than _PANEL_CAP panels: UncertifiedQuadrature is raised
+    before any evaluation if the first certificate would need more, and
+    when the next level would exceed the cap with the certificate unmet.
     """
     cut, coef = cells
     eps = 0.0
@@ -245,6 +251,13 @@ def _refined_halfline_segment(u0, x, cells, st, sign, kind, a, b, tol, w):
         return _gauss_sum(x, z if sign > 0 else -z, q, w, cut, interp)
 
     m = _FIRST_PANELS // 2
+    if kind == "lin" and tol < 1.0:
+        m = max(m, math.ceil((b - a) * math.sqrt(math.log(1.0 / tol)) / (2.0 * math.pi)))
+    if 4 * m > _PANEL_CAP:
+        raise UncertifiedQuadrature(
+            f"{u0.id}: {kind} segment [{a!r}, {b!r}] on side {sign:+g} needs "
+            f"{4 * m} panels for its first certificate, above the cap {_PANEL_CAP}"
+        )
     h = (b - a) / m
     ends = np.full(m + 1, h)
     ends[[0, -1]] *= 0.5
@@ -259,7 +272,7 @@ def _refined_halfline_segment(u0, x, cells, st, sign, kind, a, b, tol, w):
             err = float(np.max(np.abs(delta)))
             if err + 19.0 * eps <= 15.0 * tol:
                 return s + delta / 15.0
-            if n >= _PANEL_CAP:
+            if 2 * n > _PANEL_CAP:
                 raise UncertifiedQuadrature(
                     f"{u0.id}: {kind} segment [{a!r}, {b!r}] on side "
                     f"{sign:+g} reached {n} panels with estimate "

@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -35,6 +36,19 @@ class TestOracle:
         assert main(["oracle", "heat_kernel_mass", "1.0"]) == 0
         value = float(capsys.readouterr().out.strip())
         assert abs(value - 1.0) < 1e-10
+
+    def test_kernel_at_zero(self, capsys):
+        assert main(["oracle", "kernel_G", "0.0"]) == 0
+        assert math.isfinite(float(capsys.readouterr().out.strip()))
+
+    @pytest.mark.parametrize(
+        "function, arg",
+        [("kernel_G", "nan"), ("kernel_G", "inf"), ("profile_F", "nan"),
+         ("heat_kernel_mass", "0"), ("heat_kernel_mass", "nan")],
+    )
+    def test_unusable_value_is_a_config_error(self, capsys, function, arg):
+        assert main(["oracle", function, arg]) == 2
+        assert capsys.readouterr().out.startswith("config-error: ")
 
 
 class TestRun:
@@ -126,6 +140,16 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
         assert "line 3: unknown key" in capsys.readouterr().out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["curvature-gap", "flow-profile-error"])
+    def test_cfl_is_not_a_key(self, tmp_path, capsys, kind):
+        # the FD step is fixed at dt <= 0.4 dx^2
+        cfg = tmp_path / "cfl.cfg"
+        cfg.write_text(f"kind = {kind}\ndatum = smooth_log_sine:0.5\nfd_cfl = 0.4\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+        assert "line 3: unknown key 'fd_cfl'" in capsys.readouterr().out
         assert not out.exists()
 
     def test_solver_failure_prints_its_reason(self, tmp_path, capsys):

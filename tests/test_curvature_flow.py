@@ -39,11 +39,17 @@ class TestFDSolverConfig:
     def test_buffer_scales_with_horizon(self):
         assert _cfg(t_final=4.0, record_times=(4.0,)).buffer == 16.0
 
+    def test_cfl_is_a_constant_not_a_field(self):
+        # dt <= 0.4 dx^2 for every config; the number is not an option
+        fields = [f.name for f in dataclasses.fields(FDSolverConfig)]
+        assert fields == ["half_width", "dx", "t_final", "record_times"]
+        assert FDSolverConfig.cfl == _cfg().cfl == 0.4
+        with pytest.raises(TypeError):
+            _cfg(cfl=0.3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             _cfg(dx=0.0)
-        with pytest.raises(ValueError):
-            _cfg(cfl=0.6)
         with pytest.raises(ValueError):
             _cfg(record_times=())
         with pytest.raises(ValueError):
@@ -313,9 +319,9 @@ class TestSolverFailure:
     def test_range_escape_is_reported(self):
         # an unstable marching setup must raise, not return garbage
         cfg = _cfg()
-        object.__setattr__(cfg, "cfl", 0.9)  # bypass the guard to force blow-up
+        object.__setattr__(cfg, "cfl", 0.9)  # steps past the CFL bound blow up
         with pytest.raises(SolverFailure) as info:
-            solve_heat_fd(make_gaussian(0.05), cfg)
+            solve_cf(make_gaussian(0.05), cfg)
         # the range is checked every 64 steps, so the blow-up is reported
         # well before the only record time, t = 1
         msg = str(info.value)

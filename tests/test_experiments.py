@@ -277,3 +277,22 @@ class TestAtomicWrite:
             experiments._atomic_write(str(target), 42)
         assert target.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_process_umask_is_left_alone(self, tmp_path, monkeypatch):
+        # os.umask sets the mask of the whole process, so a file another
+        # thread creates meanwhile would get the wrong mode
+        plain = tmp_path / "plain.csv"
+        with open(plain, "w", encoding="utf-8") as fh:
+            fh.write("a\n")
+        mode = stat.S_IMODE(plain.stat().st_mode)
+
+        def no_umask(mask):
+            raise AssertionError("os.umask was called")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        out = tmp_path / "out"
+        result = run(_config("dilation-bound", "log_sine", out))
+        assert result.exit_code == 0
+        assert sorted(os.listdir(out)) == sorted(os.path.basename(f) for f in result.files)
+        for name in result.files:
+            assert stat.S_IMODE(os.stat(name).st_mode) == mode, name

@@ -265,6 +265,20 @@ class TestKernelG:
         ) / (2.0 * math.sqrt(math.pi))
         assert abs(kernel_G(z, QuadratureSpec(abs_tol=1e-12)) - want) <= 2e-12
 
+    @pytest.mark.parametrize("z", [1e4, 1e8])
+    def test_matches_quadpack_and_asymptote_far_right(self, z):
+        # with y = z + v, log y = log z + log1p(v/z) keeps every digit at any z;
+        # e^{-v^2/4} holds below e^{-400} of its mass past |v| = 40
+        def f(v):
+            return math.exp(-0.25 * v * v) * math.log1p(v / z)
+
+        rest = integrate.quad(f, -40.0, 40.0, epsabs=1e-16, epsrel=1e-14, limit=200)[0]
+        want = math.log(z) + rest / (2.0 * math.sqrt(math.pi))
+        got = kernel_G(z)
+        assert abs(got - want) <= 1e-10
+        # E log(z + sqrt(2) N) = log z - 1/z^2 + O(z^-4)
+        assert abs(got - (math.log(z) - 1.0 / z ** 2)) <= 1e-10
+
     def test_tail_cut_above_tolerance_raises(self):
         # the s-tail below -40 may hold 41 e^-40 ~ 1.7e-16, above this share
         with pytest.raises(UncertifiedQuadrature, match="s-tail"):

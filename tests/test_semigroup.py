@@ -239,6 +239,53 @@ class TestLargeTimes:
         assert _nodes_used(u, xs, 1e16) == _nodes_used(u, xs, 1e-2)
 
 
+def _quadpack_far(u, x, t):
+    """u(sqrt(t) x, t) at a point x >= 100 by QUADPACK over [x - 40, x + 40]:
+    the Gaussian holds below e^{-400} of its mass outside."""
+    st = math.sqrt(t)
+
+    def g(z):
+        return math.exp(-0.25 * (x - z) ** 2) * float(u.eval(st * z))
+
+    val = integrate.quad(g, x - 40.0, x + 40.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    return val / (2.0 * math.sqrt(math.pi))
+
+
+class TestFarPoints:
+    # a far point's Gaussian is about 2 wide; the first level of its segment
+    # [1, x + w] must not space its nodes so far apart that both sums of
+    # the first Richardson pair miss it and agree on a wrong value
+
+    def test_ladder_matches_quadpack(self):
+        u = make_sub_log(0.5)
+        for x in np.arange(1e4, 2e4 + 1.0, 250.0):
+            want = _quadpack_far(u, float(x), 1.0)
+            assert abs(scaled_evolve(u, float(x), 1.0) - want) <= 1e-9, x
+
+    def test_physical_point_at_small_time(self):
+        # similarity point 20 / sqrt(1e-6) = 2e4
+        u = make_log_sine()
+        want = _quadpack_far(u, 2e4, 1e-6)
+        assert abs(want - math.sin(math.log(20.0))) <= 1e-4
+        assert abs(evolve(u, 20.0, 1e-6) - want) <= 1e-9
+
+    @pytest.mark.parametrize("datum_id", ["sub_log:0.5", "log_sine", "smooth_log_sine:1"])
+    @pytest.mark.parametrize("x", [1e5, 1e6])
+    def test_beyond_the_cap_raises_at_once(self, datum_id, x):
+        # the far segment would need more than _PANEL_CAP panels: it raises
+        # before it reads the datum, after only the short segments near 0
+        u = from_id(datum_id)
+        sizes = []
+
+        def ev(z):
+            sizes.append(int(np.size(z)))
+            return u.eval(z)
+
+        with pytest.raises(UncertifiedQuadrature, match="first certificate"):
+            scaled_evolve(dataclasses.replace(u, eval=ev), x, 1.0)
+        assert sum(sizes) < 10_000
+
+
 class TestChargedWindow:
     # the Gaussian window comes from abs_tol and the datum's sup norm, and the
     # mass it drops is charged: checked against closed forms out to x = +-40
