@@ -1,17 +1,17 @@
-"""Explicit finite-difference solvers for the graph curvature flow
+"""Finite-difference solvers for the graph curvature flow
 u_t = u_xx / (1 + u_x^2) and its linear twin u_t = u_xx.
 
-Both are the same scheme: second-order centered differences, explicit Euler
-steps of at most dt = 0.4 dx^2 (FDSolverConfig.cfl, a constant), and
-homogeneous Neumann walls at +-X through mirror ghost nodes.  The diffusion
-coefficient is at most 1 and 0.4 <= 1/2, so every step is a convex
-combination of neighbours (Courant, Friedrichs & Lewy 1928) and a discrete
-maximum principle holds.  Each record interval is cut into the fewest equal
-steps of at most 0.4 dx^2 (_intervals).  Observation points stay inside a
+Both use second-order centered differences and homogeneous Neumann walls at
++-X through mirror ghost nodes.  Observation points stay inside a
 domain-of-influence buffer of 8 sqrt(T) so wall effects are below tolerance.
 
-The curvature flow is marched in place by `_march`.  Each step writes the
-forward differences g of u, the second differences D = g[1:] - g[:-1] and
+Up to t = 320 dx^2 the curvature flow takes explicit Euler steps of at most
+dt = 0.4 dx^2 (FDSolverConfig.cfl, a constant).  The diffusion coefficient is
+at most 1 and 0.4 <= 1/2, so every such step is a convex combination of
+neighbours (Courant, Friedrichs & Lewy 1928) and a discrete maximum principle
+holds.  Each record interval is cut into the fewest equal steps of at most
+0.4 dx^2 (_steps).  `_march` takes them in place: each step writes the forward
+differences g of u, the second differences D = g[1:] - g[:-1] and
 S = g[1:] + g[:-1] into buffers allocated once per call, then adds
 D / (1/r + S^2 / (4 dx^2 r)) to the interior, with r = dt / dx^2; the mirror
 walls read g[0] and g[-1].  The range of the initial data is checked every
@@ -19,14 +19,28 @@ _CHECK_EVERY = 64 steps and on the last step of each record interval, so an
 instability raises SolverFailure near the step where it starts, not at the
 next record time.
 
-The heat twin is the same explicit scheme evaluated in closed form.  With
-mirror walls the step u <- u + r D is periodic on the even extension of u of
-length M = 2(n - 1), so it is diagonal in the type-I cosine basis: mode k is
-multiplied by lambda_k = 1 - 4 r sin^2(pi k / M) per step, and a record
+After t = 320 dx^2 an explicit step costs more than it must: the flow takes
+second-order Runge-Kutta-Legendre (RKL2) super-steps (Meyer, Balsara & Aslam,
+J. Comput. Phys. 257, 2014), a Chebyshev-type stabilised method in the line
+of RKC (Verwer, Hundsdorfer & Sommeijer, Numer. Math. 57, 1990).  A
+super-step at time t is at most 0.02 t long, and its s stages cover about
+s^2 / 4 explicit steps (_super_steps, _stages), so reaching t takes about
+45 sqrt(t) / dx stages instead of 2.5 t / dx^2 steps.  Its stages are explicit
+sub-steps of the same stencil, but with negative coefficients, so no discrete
+maximum principle is proved for them: the range is checked after every
+super-step.  The switch time is where a super-step first replaces 16
+explicit steps; every snapshot up to it is the explicit scheme's.
+
+The heat twin stays the explicit scheme at every t, evaluated in closed form.
+With mirror walls the step u <- u + r D is periodic on the even extension of
+u of length M = 2(n - 1), so it is diagonal in the type-I cosine basis: mode k
+is multiplied by lambda_k = 1 - 4 r sin^2(pi k / M) per step, and a record
 interval of nsteps steps is one product by lambda_k^nsteps.  One real FFT of
 the extension gives the modes, and one inverse FFT per record time gives the
 snapshot; the values agree with the step-by-step march up to rounding.  At
 r <= 0.4 every |lambda_k| <= 1, so the range is checked at the record times.
+After 320 dx^2 the twin and the flow no longer share their time error, only
+their spatial one.
 """
 
 from __future__ import annotations
@@ -45,6 +59,13 @@ from .semigroup import GridFunction, evolve_on_grid
 # steps between range checks inside a record interval; the last step of each
 # interval is always checked
 _CHECK_EVERY = 64
+
+# an RKL2 super-step at time t is at most _ACCURACY * t long, and super-steps
+# start once one of them replaces at least _SWITCH_STEPS explicit steps, at
+# t = _SWITCH_STEPS * cfl dx^2 / _ACCURACY = 320 dx^2.  Super-steps of one
+# size fail: s = 40 stages from t = 0 give a gap of 1.9e-2 at t = 1.
+_ACCURACY = 0.02
+_SWITCH_STEPS = 16
 
 
 class SolverFailure(RuntimeError):
@@ -93,30 +114,110 @@ def _start(u0: InitialDatum, cfg: FDSolverConfig):
     return xs, xs[1] - xs[0], u, float(u.min()) - 1e-8, float(u.max()) + 1e-8
 
 
-def _intervals(cfg: FDSolverConfig, dx: float):
-    """(t, target, nsteps, dt, r) for each record interval [t, target]."""
-    dt_max = cfg.cfl * dx * dx
-    t = 0.0
-    for target in cfg.record_times:
-        nsteps = max(1, int(math.ceil((target - t) / dt_max - 1e-12)))
-        dt = (target - t) / nsteps
-        yield t, target, nsteps, dt, dt / (dx * dx)
-        t = target
+def _steps(t: float, end: float, dt_max: float) -> tuple[int, float]:
+    """The fewest equal steps of at most dt_max from t to end: (nsteps, dt)."""
+    nsteps = max(1, int(math.ceil((end - t) / dt_max - 1e-12)))
+    return nsteps, (end - t) / nsteps
 
 
-def _check_range(u, lo, hi, t, step, dx, cfl,
-                 checked=f"every {_CHECK_EVERY} steps and at each record time") -> None:
+def _stages(tau: float, dt_max: float) -> int:
+    """The fewest RKL2 stages s >= 2 with tau <= dt_max (s^2 + s - 2) / 4."""
+    return max(2, math.ceil((math.sqrt(9.0 + 16.0 * tau / dt_max) - 1.0) / 2.0))
+
+
+def _super_steps(t: float, target: float, dt_max: float):
+    """(t after it, tau, s) for each RKL2 super-step from t to target.
+
+    A super-step is _ACCURACY * t long or ends at target; a rest shorter than
+    two super-steps is cut into two halves, so no sliver is left.
+    """
+    while True:
+        left = target - t
+        tau = _ACCURACY * t
+        if left <= tau:
+            yield target, left, _stages(left, dt_max)
+            return
+        if left < 2.0 * tau:
+            tau = 0.5 * left
+        t += tau
+        yield t, tau, _stages(tau, dt_max)
+
+
+def _check_range(u, lo, hi, t, where, dx, cfl, checked) -> None:
     # written so that a NaN fails the test as well
     if not (lo <= u.min() and u.max() <= hi):
         raise SolverFailure(
-            f"solution left [{lo:.6g}, {hi:.6g}] at t = {t:g}, "
-            f"step {step} (range checked {checked}; range [{u.min():.6g}, "
-            f"{u.max():.6g}]); dx = {dx:g}, cfl = {cfl:g}"
+            f"solution left [{lo:.6g}, {hi:.6g}] at t = {t:g}, {where} "
+            f"(range checked {checked}; range [{u.min():.6g}, {u.max():.6g}]); "
+            f"dx = {dx:g}, cfl = {cfl:g}"
         )
+
+
+def _increment(g, rho, dx, out, S) -> None:
+    """rho dx^2 u_xx / (1 + u_x^2) at the interior nodes, written into out.
+
+    g holds the forward differences of u.  This is the stencil of one
+    explicit step of r = rho, as _march writes it out; S is a work buffer.
+    """
+    np.subtract(g[1:], g[:-1], out=out)
+    np.add(g[1:], g[:-1], out=S)
+    np.multiply(S, S, out=S)
+    np.multiply(S, 1.0 / (4.0 * dx * dx * rho), out=S)
+    np.add(S, 1.0 / rho, out=S)
+    np.divide(out, S, out=out)
+
+
+def _b(j: int) -> float:
+    """RKL2's b_j = (j^2 + j - 2) / (2 j (j + 1)), and b_0 = b_1 = b_2 = 1/3."""
+    return 1.0 / 3.0 if j < 2 else (j * j + j - 2) / (2.0 * j * (j + 1))
+
+
+def _super_step(u, tau: float, s: int, dx: float) -> None:
+    """One RKL2 super-step of length tau in s stages, in place on u.
+
+    The stages of Meyer, Balsara & Aslam (2014) start from Y_0 = u:
+        Y_1 = Y_0 + b_1 F,  F = w1 tau L(Y_0),  w1 = 4 / (s^2 + s - 2),
+        Y_j = mu_j (Y_{j-1} + w1 tau L(Y_{j-1}) - a_{j-1} F) + nu_j Y_{j-2}
+              + (1 - mu_j - nu_j) Y_0,
+    with a_j = 1 - b_j, mu_j = (2j - 1)/j b_j/b_{j-1} and
+    nu_j = -(j - 1)/j b_j/b_{j-2}, and u becomes Y_s.  w1 tau L is one
+    explicit step of r = w1 tau / dx^2, and mu_j folds into its divisor.  The
+    stages carry Z_j = Y_j - Y_0, which stays exactly 0 for constant data.
+    """
+    n = len(u)
+    g0, g = np.empty(n - 1), np.empty(n - 1)
+    D, S = np.empty(n - 2), np.empty(n - 2)
+    F, Z, Z1, tmp = (np.empty(n) for _ in range(4))
+    Z2 = np.zeros(n)
+    rho = 4.0 / (s * s + s - 2) * tau / (dx * dx)
+    np.subtract(u[1:], u[:-1], out=g0)
+    _increment(g0, rho, dx, F[1:-1], S)
+    # mirror ghost nodes: zero-slope walls
+    F[0], F[-1] = 2.0 * rho * g0[0], -2.0 * rho * g0[-1]
+    np.multiply(F, _b(1), out=Z1)
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * _b(j) / _b(j - 1)
+        nu = -(j - 1) / j * _b(j) / _b(j - 2)
+        # the forward differences of Y_{j-1} = u + Z_{j-1}
+        np.subtract(Z1[1:], Z1[:-1], out=g)
+        np.add(g, g0, out=g)
+        _increment(g, mu * rho, dx, D, S)
+        np.multiply(Z2, nu, out=Z)
+        np.multiply(Z1, mu, out=tmp)
+        np.add(Z, tmp, out=Z)
+        np.multiply(F, (_b(j - 1) - 1.0) * mu, out=tmp)
+        np.add(Z, tmp, out=Z)
+        np.add(Z[1:-1], D, out=Z[1:-1])
+        Z[0] += 2.0 * mu * rho * g[0]
+        Z[-1] -= 2.0 * mu * rho * g[-1]
+        Z2, Z1, Z = Z1, Z, Z2
+    np.add(u, Z1, out=u)
 
 
 def _march(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
     xs, dx, u, lo, hi = _start(u0, cfg)
+    dt_max = cfg.cfl * dx * dx
+    t_switch = _SWITCH_STEPS * dt_max / _ACCURACY
     # work buffers and the views the stencil reads and writes, made once
     g = np.empty(len(u) - 1)   # forward differences u[i+1] - u[i]
     D = np.empty(len(u) - 2)   # second differences
@@ -124,28 +225,48 @@ def _march(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
     u_right, u_left, u_inner = u[1:], u[:-1], u[1:-1]
     g_right, g_left = g[1:], g[:-1]
     snapshots = []
-    step = 0
-    for t, target, nsteps, dt, r in _intervals(cfg, dx):
-        wall = 2.0 * r
-        # u_xx / (1 + u_x^2) dt = D / (1/r + S^2 / (4 dx^2 r))
-        inv_r = 1.0 / r
-        slope_coef = inv_r / (4.0 * dx * dx)
-        for k in range(1, nsteps + 1):
-            np.subtract(u_right, u_left, out=g)
-            np.subtract(g_right, g_left, out=D)
-            np.add(g_right, g_left, out=S)
-            np.multiply(S, S, out=S)
-            np.multiply(S, slope_coef, out=S)
-            np.add(S, inv_r, out=S)
-            np.divide(D, S, out=D)
-            # mirror ghost nodes: zero-slope walls, from the pre-step differences
-            u[0] += wall * g[0]
-            u[-1] -= wall * g[-1]
-            np.add(u_inner, D, out=u_inner)
-            step += 1
-            if step % _CHECK_EVERY == 0 or k == nsteps:
-                t_check = target if k == nsteps else t + k * dt
-                _check_range(u, lo, hi, t_check, step, dx, cfg.cfl)
+    step = supers = 0
+    t = 0.0
+    for target in cfg.record_times:
+        # a record time within rounding of the switch is reached by explicit steps
+        end = target if target <= t_switch * (1.0 + 1e-12) else t_switch
+        if t < end:
+            nsteps, dt = _steps(t, end, dt_max)
+            r = dt / (dx * dx)
+            wall = 2.0 * r
+            # u_xx / (1 + u_x^2) dt = D / (1/r + S^2 / (4 dx^2 r)); the stencil
+            # is written out here, not called through _increment, because
+            # these steps are most of the short marches' time
+            inv_r = 1.0 / r
+            slope_coef = inv_r / (4.0 * dx * dx)
+            for k in range(1, nsteps + 1):
+                np.subtract(u_right, u_left, out=g)
+                np.subtract(g_right, g_left, out=D)
+                np.add(g_right, g_left, out=S)
+                np.multiply(S, S, out=S)
+                np.multiply(S, slope_coef, out=S)
+                np.add(S, inv_r, out=S)
+                np.divide(D, S, out=D)
+                # mirror ghost nodes: zero-slope walls, from the pre-step differences
+                u[0] += wall * g[0]
+                u[-1] -= wall * g[-1]
+                np.add(u_inner, D, out=u_inner)
+                step += 1
+                if step % _CHECK_EVERY == 0 or k == nsteps:
+                    t_check = end if k == nsteps else t + k * dt
+                    _check_range(u, lo, hi, t_check, f"explicit step {step}", dx, cfg.cfl,
+                                 f"every {_CHECK_EVERY} steps, at the switch and at "
+                                 f"each record time")
+            t = end
+        if t < target:
+            # RKL2 stages have negative coefficients, so no discrete maximum
+            # principle is proved for them: the range is checked after each one
+            for t, tau, s in _super_steps(t, target, dt_max):
+                _super_step(u, tau, s, dx)
+                supers += 1
+                _check_range(u, lo, hi, t,
+                             f"super-step {supers} (s = {s} stages, tau = {tau:.6g})",
+                             dx, cfg.cfl, "after every super-step")
         snapshots.append(
             GridFunction(float(xs[0]), float(xs[-1]), len(xs), u.copy())
         )
@@ -196,12 +317,17 @@ def solve_heat_fd(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
 
     snapshots = []
     step = 0
-    for _, target, nsteps, _, r in _intervals(cfg, dx):
+    t = 0.0
+    for target in cfg.record_times:
+        nsteps, dt = _steps(t, target, cfg.cfl * dx * dx)
+        r = dt / (dx * dx)
         modes *= _eigen_powers(4.0 * r * sin2, nsteps)  # lambda_k = 1 - 4 r sin2_k
         step += nsteps
         snap = base + np.fft.irfft(modes, m)[:n]
-        _check_range(snap, lo, hi, target, step, dx, cfg.cfl, "at each record time")
+        _check_range(snap, lo, hi, target, f"explicit step {step}", dx, cfg.cfl,
+                     "at each record time")
         snapshots.append(GridFunction(float(xs[0]), float(xs[-1]), n, snap))
+        t = target
     return snapshots
 
 

@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 from scipy.interpolate import CubicSpline
 
 from mildheat import curvature_flow
@@ -86,10 +87,12 @@ def test_config_rejects_non_finite_or_degenerate_grids(bad):
 class TestSolvers:
     def test_constant_is_exact_for_both(self):
         u = make_constant(0.5)
-        cfg = _cfg(record_times=(0.3, 1.0))
-        for solver in (solve_cf, solve_heat_fd):
-            for snap in solver(u, cfg):
-                assert np.array_equal(snap.values, np.full(snap.n, 0.5))
+        # past 320 dx^2 = 3.2 the curvature flow takes RKL2 super-steps
+        for cfg in (_cfg(record_times=(0.3, 1.0)),
+                    _cfg(half_width=40.0, t_final=100.0, record_times=(10.0, 100.0))):
+            for solver in (solve_cf, solve_heat_fd):
+                for snap in solver(u, cfg):
+                    assert np.array_equal(snap.values, np.full(snap.n, 0.5))
 
     def test_heat_fd_second_order(self):
         # halving dx divides the error against the closed form by about 4
@@ -238,6 +241,85 @@ class TestHeatClosedForm:
         assert np.max(np.abs(snap.values - factor * mode.eval(xs))) <= 1e-13
 
 
+def _rkl2_factor(s, z):
+    """RKL2's stability polynomial R_s(z) = 1 - b_s + b_s P_s(1 + w1 z)."""
+    b = (s * s + s - 2) / (2.0 * s * (s + 1))
+    w1 = 4.0 / (s * s + s - 2)
+    return 1.0 - b + b * legendre.legval(1.0 + w1 * z, [0.0] * s + [1.0])
+
+
+def _schedule(t, target, dx):
+    """The march's steps from t to target, from the rules it states.
+
+    Explicit steps of at most 0.4 dx^2 up to 320 dx^2, as ("euler", dt, n);
+    after that ("rkl2", tau, s) super-steps of 0.02 t, or the rest of the
+    interval, with a rest under two super-steps cut in halves, and s the
+    fewest stages with tau <= 0.4 dx^2 (s^2 + s - 2) / 4.
+    """
+    dt_max = 0.4 * dx * dx
+    end = min(target, 320.0 * dx * dx)
+    if t < end:
+        nsteps = math.ceil((end - t) / dt_max - 1e-12)
+        yield "euler", (end - t) / nsteps, nsteps
+        t = end
+    while t < target:
+        tau = min(0.02 * t, target - t)
+        if 0.02 * t < target - t < 0.04 * t:
+            tau = (target - t) / 2.0
+        s = 2
+        while tau > dt_max * (s * s + s - 2) / 4.0:
+            s += 1
+        yield "rkl2", tau, s
+        t = target if tau == target - t else t + tau
+
+
+class TestSuperStepClosedForm:
+    # a cosine mode of amplitude EPS has slopes of order 1e-5, so the flow
+    # acts on it as the heat step up to 1e-10 of its size, and each RKL2
+    # super-step multiplies it by R_s(tau lambda_k)
+    EPS = 1e-6
+
+    @staticmethod
+    def _eigenvalue(n, dx, k):
+        return -4.0 * math.sin(math.pi * k / (2 * (n - 1))) ** 2 / (dx * dx)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 80])
+    def test_cosine_mode_through_the_switch(self, k):
+        # 320 dx^2 = 3.2: the first interval switches, the second super-steps
+        cfg = _cfg(half_width=4.0, t_final=12.0, record_times=(5.0, 12.0))
+        xs = cfg.nodes()
+        dx = xs[1] - xs[0]
+        lam = self._eigenvalue(len(xs), dx, k)
+        mode = _cosine_mode(cfg, k)
+        datum = dataclasses.replace(mode, eval=lambda x: self.EPS * mode.eval(x))
+        factor, t, supers = 1.0, 0.0, 0
+        for target, snap in zip(cfg.record_times, solve_cf(datum, cfg)):
+            for kind, h, m in _schedule(t, target, dx):
+                if kind == "euler":
+                    factor *= (1.0 + h * lam) ** m
+                else:
+                    factor *= _rkl2_factor(m, h * lam)
+                    supers += 1
+            t = target
+            want = factor * self.EPS * mode.eval(xs)
+            assert np.max(np.abs(snap.values - want)) <= 1e-9 * self.EPS
+        assert supers > 40
+
+    @pytest.mark.parametrize("s", [2, 8, 41])
+    @pytest.mark.parametrize("k", [1, 20, 40, 79, 80])
+    def test_one_super_step_on_each_mode(self, k, s):
+        # the fastest modes are gone by 320 dx^2 in a march, so one
+        # super-step of the largest tau its s stages allow is checked alone
+        cfg = _cfg(half_width=4.0)
+        xs = cfg.nodes()
+        dx = xs[1] - xs[0]
+        tau = 0.4 * dx * dx * (s * s + s - 2) / 4.0
+        u = self.EPS * _cosine_mode(cfg, k).eval(xs)
+        want = _rkl2_factor(s, tau * self._eigenvalue(len(xs), dx, k)) * u
+        curvature_flow._super_step(u, tau, s, dx)
+        assert np.max(np.abs(u - want)) <= 1e-9 * self.EPS
+
+
 class TestCurvatureHeatGap:
     def test_gap_series(self):
         u = make_smooth_log_sine(1.0)
@@ -330,3 +412,29 @@ class TestSolverFailure:
         assert t < 1.0
         assert step % 64 == 0
         assert "every 64 steps" in msg
+
+    def test_failing_super_step_is_reported(self, monkeypatch):
+        # two stages fewer than the rule asks for let the fast modes grow
+        # (one fewer is still stable: the rule keeps 0.4 dx^2 where
+        # 0.5 dx^2 is the limit); the range check after that super-step
+        # names it, past 320 dx^2 = 3.2 and well before t = 100
+        real = curvature_flow._stages
+        taken = []
+
+        def too_few(tau, dt_max):
+            taken.append((tau, real(tau, dt_max) - 2))
+            return taken[-1][1]
+
+        monkeypatch.setattr(curvature_flow, "_stages", too_few)
+        cfg = _cfg(t_final=100.0, record_times=(100.0,))
+        with pytest.raises(SolverFailure) as info:
+            solve_cf(make_smooth_log_sine(1.0), cfg)
+        msg = str(info.value)
+        t = float(re.search(r"at t = (\S+),", msg).group(1))
+        number = int(re.search(r"super-step (\d+) ", msg).group(1))
+        s = int(re.search(r"s = (\d+) stages", msg).group(1))
+        tau = float(re.search(r"tau = (\S+)\)", msg).group(1))
+        assert 3.2 < t < 10.0
+        assert "after every super-step" in msg
+        assert number == len(taken)
+        assert (s, tau) == (taken[-1][1], float(f"{taken[-1][0]:.6g}"))
