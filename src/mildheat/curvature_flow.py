@@ -29,7 +29,20 @@ s^2 / 4 explicit steps (_super_steps, _stages), so reaching t takes about
 sub-steps of the same stencil, but with negative coefficients, so no discrete
 maximum principle is proved for them: the range is checked after every
 super-step.  The switch time is where a super-step first replaces 16
-explicit steps; every snapshot up to it is the explicit scheme's.
+explicit steps; every snapshot up to it is the explicit scheme's.  The RKL2
+coefficients of each stage count come from a table (_rkl2_table), and the
+stage loop runs on buffers made once per march (_rkl2_stepper).
+
+Even data are marched on half the grid.  When the grid has an odd number n of
+nodes and u0 is exactly even on it (_even_centre, the one place that decides),
+only nodes c..n-1, c = n // 2, are marched: the centre node is a mirror wall
+with the same ghost-node rule as the walls at +-X, and each snapshot is the
+half mirrored.  The heat twin transforms the same half, and curvature_heat_gap
+takes its sup over the same nodes.  Every catalog datum the curvature flow
+accepts is even.  The full-grid march keeps even data even only up to
+rounding, because linspace nodes are not exactly antisymmetric; the half
+grid's snapshots agree with it to that rounding (within 6e-15).  Other data,
+and grids of even n, are marched whole.
 
 The heat twin stays the explicit scheme at every t, evaluated in closed form.
 With mirror walls the step u <- u + r D is periodic on the even extension of
@@ -45,6 +58,7 @@ their spatial one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -114,6 +128,26 @@ def _start(u0: InitialDatum, cfg: FDSolverConfig):
     return xs, xs[1] - xs[0], u, float(u.min()) - 1e-8, float(u.max()) + 1e-8
 
 
+def _even_centre(u0: InitialDatum, xs: np.ndarray) -> int | None:
+    """The centre node c = n // 2 when u0 is exactly even on the grid, else None.
+
+    Then only nodes c..n-1 need marching, with a mirror wall at c.  The datum
+    is evaluated at -xs[c:], not compared with its own reversal: linspace
+    nodes are not exactly antisymmetric, so u[::-1] differs from u by an ulp
+    even for a Gaussian.  A grid of even n has no centre node.
+    """
+    c = len(xs) // 2
+    if len(xs) % 2 and np.array_equal(u0.eval(-xs[c:]), u0.eval(xs[c:])):
+        return c
+    return None
+
+
+def _snapshot(xs: np.ndarray, w: np.ndarray, c: int | None) -> GridFunction:
+    """The grid function of the marched values w, mirrored about c if halved."""
+    values = w.copy() if c is None else np.concatenate((w[:0:-1], w))
+    return GridFunction(float(xs[0]), float(xs[-1]), len(xs), values)
+
+
 def _steps(t: float, end: float, dt_max: float) -> tuple[int, float]:
     """The fewest equal steps of at most dt_max from t to end: (nsteps, dt)."""
     nsteps = max(1, int(math.ceil((end - t) / dt_max - 1e-12)))
@@ -153,69 +187,94 @@ def _check_range(u, lo, hi, t, where, dx, cfl, checked) -> None:
         )
 
 
-def _increment(g, rho, dx, out, S) -> None:
-    """rho dx^2 u_xx / (1 + u_x^2) at the interior nodes, written into out.
-
-    g holds the forward differences of u.  This is the stencil of one
-    explicit step of r = rho, as _march writes it out; S is a work buffer.
-    """
-    np.subtract(g[1:], g[:-1], out=out)
-    np.add(g[1:], g[:-1], out=S)
-    np.multiply(S, S, out=S)
-    np.multiply(S, 1.0 / (4.0 * dx * dx * rho), out=S)
-    np.add(S, 1.0 / rho, out=S)
-    np.divide(out, S, out=out)
-
-
 def _b(j: int) -> float:
     """RKL2's b_j = (j^2 + j - 2) / (2 j (j + 1)), and b_0 = b_1 = b_2 = 1/3."""
     return 1.0 / 3.0 if j < 2 else (j * j + j - 2) / (2.0 * j * (j + 1))
 
 
-def _super_step(u, tau: float, s: int, dx: float) -> None:
-    """One RKL2 super-step of length tau in s stages, in place on u.
+@functools.lru_cache(maxsize=256)
+def _rkl2_table(s: int) -> tuple[tuple[float, float, float], ...]:
+    """(mu_j, nu_j, (b_{j-1} - 1) mu_j) for the stages j = 2..s of RKL2."""
+    rows = []
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * _b(j) / _b(j - 1)
+        rows.append((mu, -(j - 1) / j * _b(j) / _b(j - 2), (_b(j - 1) - 1.0) * mu))
+    return tuple(rows)
+
+
+def _rkl2_stepper(u: np.ndarray, dx: float):
+    """super_step(tau, s): one RKL2 super-step of length tau in s stages on u.
 
     The stages of Meyer, Balsara & Aslam (2014) start from Y_0 = u:
         Y_1 = Y_0 + b_1 F,  F = w1 tau L(Y_0),  w1 = 4 / (s^2 + s - 2),
         Y_j = mu_j (Y_{j-1} + w1 tau L(Y_{j-1}) - a_{j-1} F) + nu_j Y_{j-2}
               + (1 - mu_j - nu_j) Y_0,
     with a_j = 1 - b_j, mu_j = (2j - 1)/j b_j/b_{j-1} and
-    nu_j = -(j - 1)/j b_j/b_{j-2}, and u becomes Y_s.  w1 tau L is one
-    explicit step of r = w1 tau / dx^2, and mu_j folds into its divisor.  The
-    stages carry Z_j = Y_j - Y_0, which stays exactly 0 for constant data.
+    nu_j = -(j - 1)/j b_j/b_{j-2}, and u becomes Y_s in place.  w1 tau L is
+    one explicit step of r = w1 tau / dx^2, and mu_j folds into its divisor.
+    The stages carry Z_j = Y_j - Y_0, which stays exactly 0 for constant
+    data.  The work buffers and their views are made here, once per march,
+    and the stencil is written out in the stage loop: a stage is 14 array
+    passes and no Python call.
     """
     n = len(u)
     g0, g = np.empty(n - 1), np.empty(n - 1)
     D, S = np.empty(n - 2), np.empty(n - 2)
-    F, Z, Z1, tmp = (np.empty(n) for _ in range(4))
-    Z2 = np.zeros(n)
-    rho = 4.0 / (s * s + s - 2) * tau / (dx * dx)
-    np.subtract(u[1:], u[:-1], out=g0)
-    _increment(g0, rho, dx, F[1:-1], S)
-    # mirror ghost nodes: zero-slope walls
-    F[0], F[-1] = 2.0 * rho * g0[0], -2.0 * rho * g0[-1]
-    np.multiply(F, _b(1), out=Z1)
-    for j in range(2, s + 1):
-        mu = (2 * j - 1) / j * _b(j) / _b(j - 1)
-        nu = -(j - 1) / j * _b(j) / _b(j - 2)
-        # the forward differences of Y_{j-1} = u + Z_{j-1}
-        np.subtract(Z1[1:], Z1[:-1], out=g)
-        np.add(g, g0, out=g)
-        _increment(g, mu * rho, dx, D, S)
-        np.multiply(Z2, nu, out=Z)
-        np.multiply(Z1, mu, out=tmp)
-        np.add(Z, tmp, out=Z)
-        np.multiply(F, (_b(j - 1) - 1.0) * mu, out=tmp)
-        np.add(Z, tmp, out=Z)
-        np.add(Z[1:-1], D, out=Z[1:-1])
-        Z[0] += 2.0 * mu * rho * g[0]
-        Z[-1] -= 2.0 * mu * rho * g[-1]
-        Z2, Z1, Z = Z1, Z, Z2
-    np.add(u, Z1, out=u)
+    F, tmp = np.empty(n), np.empty(n)
+    u_right, u_left = u[1:], u[:-1]
+    g0_right, g0_left, g_right, g_left = g0[1:], g0[:-1], g[1:], g[:-1]
+    F_inner = F[1:-1]
+    # (Z, its interior, Z[1:], Z[:-1]) for Z_{j-2}, Z_{j-1} and Z_j
+    Zs = [(Z, Z[1:-1], Z[1:], Z[:-1]) for Z in (np.empty(n), np.empty(n), np.empty(n))]
+    b1 = _b(1)
+
+    def super_step(tau: float, s: int) -> None:
+        rho = 4.0 / (s * s + s - 2) * tau / (dx * dx)
+        # F = w1 tau L(Y_0): the explicit stencil with r = rho
+        np.subtract(u_right, u_left, out=g0)
+        np.subtract(g0_right, g0_left, out=F_inner)
+        np.add(g0_right, g0_left, out=S)
+        np.multiply(S, S, out=S)
+        np.multiply(S, 1.0 / (4.0 * dx * dx * rho), out=S)
+        np.add(S, 1.0 / rho, out=S)
+        np.divide(F_inner, S, out=F_inner)
+        # mirror ghost nodes: zero-slope walls
+        F[0], F[-1] = 2.0 * rho * g0[0], -2.0 * rho * g0[-1]
+        Z2, Z1, Z = Zs
+        Z2[0].fill(0.0)
+        np.multiply(F, b1, out=Z1[0])
+        for mu, nu, gam in _rkl2_table(s):
+            rr = mu * rho
+            # the forward differences of Y_{j-1} = u + Z_{j-1}
+            np.subtract(Z1[2], Z1[3], out=g)
+            np.add(g, g0, out=g)
+            np.subtract(g_right, g_left, out=D)
+            np.add(g_right, g_left, out=S)
+            np.multiply(S, S, out=S)
+            np.multiply(S, 1.0 / (4.0 * dx * dx * rr), out=S)
+            np.add(S, 1.0 / rr, out=S)
+            np.divide(D, S, out=D)
+            Zj = Z[0]
+            np.multiply(Z2[0], nu, out=Zj)
+            np.multiply(Z1[0], mu, out=tmp)
+            np.add(Zj, tmp, out=Zj)
+            np.multiply(F, gam, out=tmp)
+            np.add(Zj, tmp, out=Zj)
+            np.add(Z[1], D, out=Z[1])
+            Zj[0] += 2.0 * mu * rho * g[0]
+            Zj[-1] -= 2.0 * mu * rho * g[-1]
+            Z2, Z1, Z = Z1, Z, Z2
+        np.add(u, Z1[0], out=u)
+
+    return super_step
 
 
 def _march(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
     xs, dx, u, lo, hi = _start(u0, cfg)
+    c = _even_centre(u0, xs)
+    if c is not None:
+        # even data: march nodes c..n-1, with the centre as a mirror wall
+        u = u[c:]
     dt_max = cfg.cfl * dx * dx
     t_switch = _SWITCH_STEPS * dt_max / _ACCURACY
     # work buffers and the views the stencil reads and writes, made once
@@ -224,6 +283,7 @@ def _march(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
     S = np.empty(len(u) - 2)   # doubled centered differences
     u_right, u_left, u_inner = u[1:], u[:-1], u[1:-1]
     g_right, g_left = g[1:], g[:-1]
+    super_step = None  # made at the first super-step: short marches take none
     snapshots = []
     step = supers = 0
     t = 0.0
@@ -234,9 +294,7 @@ def _march(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
             nsteps, dt = _steps(t, end, dt_max)
             r = dt / (dx * dx)
             wall = 2.0 * r
-            # u_xx / (1 + u_x^2) dt = D / (1/r + S^2 / (4 dx^2 r)); the stencil
-            # is written out here, not called through _increment, because
-            # these steps are most of the short marches' time
+            # u_xx / (1 + u_x^2) dt = D / (1/r + S^2 / (4 dx^2 r))
             inv_r = 1.0 / r
             slope_coef = inv_r / (4.0 * dx * dx)
             for k in range(1, nsteps + 1):
@@ -261,15 +319,15 @@ def _march(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
         if t < target:
             # RKL2 stages have negative coefficients, so no discrete maximum
             # principle is proved for them: the range is checked after each one
+            if super_step is None:
+                super_step = _rkl2_stepper(u, dx)
             for t, tau, s in _super_steps(t, target, dt_max):
-                _super_step(u, tau, s, dx)
+                super_step(tau, s)
                 supers += 1
                 _check_range(u, lo, hi, t,
                              f"super-step {supers} (s = {s} stages, tau = {tau:.6g})",
                              dx, cfg.cfl, "after every super-step")
-        snapshots.append(
-            GridFunction(float(xs[0]), float(xs[-1]), len(xs), u.copy())
-        )
+        snapshots.append(_snapshot(xs, u, c))
     return snapshots
 
 
@@ -305,12 +363,14 @@ def solve_heat_fd(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
     record interval is one product by lambda_k^nsteps in the cosine basis.
     """
     xs, dx, u, lo, hi = _start(u0, cfg)
-    n = len(u)
-    m = 2 * (n - 1)
+    c = _even_centre(u0, xs)
     # the constant part is an exact fixed point of every step, so only the
     # rest goes through the transform and constant data stays exact
     base = u[0]
-    v = u - base
+    # even data: the half from the centre, whose extension is the full one's
+    v = (u if c is None else u[c:]) - base
+    n = len(v)
+    m = 2 * (n - 1)
     # even extension about both walls; its transform is real up to rounding
     modes = np.fft.rfft(np.concatenate((v, v[-2:0:-1]))).real
     sin2 = np.sin(np.pi / m * np.arange(n)) ** 2
@@ -326,7 +386,7 @@ def solve_heat_fd(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
         snap = base + np.fft.irfft(modes, m)[:n]
         _check_range(snap, lo, hi, target, f"explicit step {step}", dx, cfg.cfl,
                      "at each record time")
-        snapshots.append(GridFunction(float(xs[0]), float(xs[-1]), n, snap))
+        snapshots.append(_snapshot(xs, snap, c))
         t = target
     return snapshots
 
@@ -347,6 +407,11 @@ def curvature_heat_gap(
     mask = np.abs(xs) <= cfg.half_width - cfg.buffer
     if not np.any(mask):
         raise ValueError("domain-of-influence buffer leaves no interior points")
+    c = _even_centre(u0, xs)
+    if c is not None:
+        # the snapshots are mirrored halves and the heat solution is even,
+        # so the sup over the nodes from the centre on is the whole sup
+        mask[:c] = False
     snaps = solve_cf(u0, cfg)
     out = []
     for t, snap in zip(cfg.record_times, snaps):

@@ -23,7 +23,9 @@ from mildheat.initial_data import (
     make_smooth_log_sine,
     make_step,
 )
+from mildheat.kernels import DEFAULT_SPEC
 from mildheat.profile_bounds import two_sided_profile
+from mildheat.semigroup import evolve_on_grid
 
 
 def _cfg(**kw):
@@ -186,7 +188,12 @@ class TestInPlaceMarch:
 
 
 def _cosine_mode(cfg, k):
-    """The datum cos(pi k (x + X) / (2X)): the k-th DCT-I mode on the grid."""
+    """The datum cos(pi k (x + X) / (2X)): the k-th DCT-I mode on the grid.
+
+    For even k it is even in x, but bit for bit only where its node values
+    are +-1 (k = 0 and k = n - 1), so the solvers march the other modes on
+    the full grid.
+    """
     X = cfg.half_width
     return dataclasses.replace(
         make_constant(0.0),
@@ -195,15 +202,42 @@ def _cosine_mode(cfg, k):
     )
 
 
+def _even_cosine_mode(cfg, k):
+    """The same mode for even k as (-1)^(k/2) cos(pi k x / (2X)), even bit for bit."""
+    X = cfg.half_width
+    sign = -1.0 if k % 4 else 1.0
+    return dataclasses.replace(
+        make_constant(0.0),
+        id=f"even_dct_mode:{k}",
+        eval=lambda x: sign * np.cos(math.pi * k * np.asarray(x) / (2.0 * X)),
+    )
+
+
+def _halves(u0, cfg):
+    """Whether the solvers march u0 on half of cfg's grid."""
+    return curvature_flow._even_centre(u0, cfg.nodes()) is not None
+
+
+def test_even_data_on_odd_grids_take_the_half_grid():
+    odd, even_n = _cfg(half_width=4.0), _cfg(half_width=15.95)  # 81 and 320 nodes
+    assert len(odd.nodes()) == 81 and len(even_n.nodes()) == 320
+    g = make_gaussian(1.0)
+    shifted = dataclasses.replace(g, eval=lambda x: g.eval(np.asarray(x) - 0.3))
+    for u0 in (g, make_smooth_log_sine(1.0), make_constant(0.5),
+               _even_cosine_mode(odd, 2), _cosine_mode(odd, 0), _cosine_mode(odd, 80)):
+        assert _halves(u0, odd) and not _halves(u0, even_n)
+    for k in (1, 2, 7, 40, 79):
+        assert not _halves(_cosine_mode(odd, k), odd)
+    assert not _halves(shifted, odd)
+
+
 class TestHeatClosedForm:
     # each DCT-I mode of the mirror-wall grid is an eigenvector of one
     # explicit heat step, with eigenvalue 1 - 4 r sin^2(pi k / (2 (n - 1)))
     CFG = dict(half_width=4.0, dx=0.1, t_final=0.5, record_times=(0.1371, 0.5))
 
-    @pytest.mark.parametrize("k", [0, 1, 7, 40, 79, 80])
-    def test_cosine_mode_decays_by_its_eigenvalue(self, k):
-        cfg = _cfg(**self.CFG)
-        mode = _cosine_mode(cfg, k)
+    @staticmethod
+    def _check(cfg, mode, k):
         xs = cfg.nodes()
         n = len(xs)
         dx = xs[1] - xs[0]
@@ -221,6 +255,21 @@ class TestHeatClosedForm:
             want = factor * mode.eval(xs)
             assert np.max(np.abs(snap.values - want)) <= 1e-13
         assert rs[0] != rs[1]
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 40, 79, 80])
+    def test_cosine_mode_decays_by_its_eigenvalue(self, k):
+        cfg = _cfg(**self.CFG)
+        self._check(cfg, _cosine_mode(cfg, k), k)
+
+    # mode k of the full grid is mode k/2 of the half grid; a grid of even n
+    # (320 nodes) has no centre node and is marched whole
+    @pytest.mark.parametrize("half_width, k", [(4.0, 2), (4.0, 40), (4.0, 78), (4.0, 80),
+                                               (15.95, 2), (15.95, 318)])
+    def test_even_mode_decays_by_its_eigenvalue(self, half_width, k):
+        cfg = _cfg(**dict(self.CFG, half_width=half_width))
+        mode = _even_cosine_mode(cfg, k)
+        assert _halves(mode, cfg) == (len(cfg.nodes()) % 2 == 1)
+        self._check(cfg, mode, k)
 
     def test_slow_mode_over_many_steps(self):
         # 25,001 steps of the slowest mode, lambda^n near 1/e: the rounding
@@ -283,14 +332,10 @@ class TestSuperStepClosedForm:
     def _eigenvalue(n, dx, k):
         return -4.0 * math.sin(math.pi * k / (2 * (n - 1))) ** 2 / (dx * dx)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 80])
-    def test_cosine_mode_through_the_switch(self, k):
-        # 320 dx^2 = 3.2: the first interval switches, the second super-steps
-        cfg = _cfg(half_width=4.0, t_final=12.0, record_times=(5.0, 12.0))
+    def _check_through_the_switch(self, cfg, mode, k):
         xs = cfg.nodes()
         dx = xs[1] - xs[0]
         lam = self._eigenvalue(len(xs), dx, k)
-        mode = _cosine_mode(cfg, k)
         datum = dataclasses.replace(mode, eval=lambda x: self.EPS * mode.eval(x))
         factor, t, supers = 1.0, 0.0, 0
         for target, snap in zip(cfg.record_times, solve_cf(datum, cfg)):
@@ -305,6 +350,19 @@ class TestSuperStepClosedForm:
             assert np.max(np.abs(snap.values - want)) <= 1e-9 * self.EPS
         assert supers > 40
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 80])
+    def test_cosine_mode_through_the_switch(self, k):
+        # 320 dx^2 = 3.2: the first interval switches, the second super-steps
+        cfg = _cfg(half_width=4.0, t_final=12.0, record_times=(5.0, 12.0))
+        self._check_through_the_switch(cfg, _cosine_mode(cfg, k), k)
+
+    @pytest.mark.parametrize("half_width, k", [(4.0, 2), (4.0, 4), (4.0, 80), (15.95, 2)])
+    def test_even_mode_through_the_switch(self, half_width, k):
+        cfg = _cfg(half_width=half_width, t_final=12.0, record_times=(5.0, 12.0))
+        mode = _even_cosine_mode(cfg, k)
+        assert _halves(mode, cfg) == (half_width == 4.0)
+        self._check_through_the_switch(cfg, mode, k)
+
     @pytest.mark.parametrize("s", [2, 8, 41])
     @pytest.mark.parametrize("k", [1, 20, 40, 79, 80])
     def test_one_super_step_on_each_mode(self, k, s):
@@ -316,7 +374,7 @@ class TestSuperStepClosedForm:
         tau = 0.4 * dx * dx * (s * s + s - 2) / 4.0
         u = self.EPS * _cosine_mode(cfg, k).eval(xs)
         want = _rkl2_factor(s, tau * self._eigenvalue(len(xs), dx, k)) * u
-        curvature_flow._super_step(u, tau, s, dx)
+        curvature_flow._rkl2_stepper(u, dx)(tau, s)
         assert np.max(np.abs(u - want)) <= 1e-9 * self.EPS
 
 
@@ -327,6 +385,21 @@ class TestCurvatureHeatGap:
         gaps = curvature_heat_gap(u, cfg)
         assert [t for t, _ in gaps] == [1.0, 3.0]
         assert all(0.0 < g < 1.0 for _, g in gaps)
+
+    def test_half_window_gives_the_full_window_sup(self):
+        # the gap takes its sup over the nodes from the centre on; the sup
+        # over the whole window, with its own heat reference, is the same
+        # up to the certificate of each reference
+        u = make_smooth_log_sine(1.0)
+        cfg = _cfg(half_width=40.0, t_final=4.0, record_times=(1.0, 4.0))
+        assert _halves(u, cfg)
+        xs = cfg.nodes()
+        mask = np.abs(xs) <= cfg.half_width - cfg.buffer
+        gaps = curvature_heat_gap(u, cfg)
+        for (t, gap), snap in zip(gaps, solve_cf(u, cfg)):
+            full = math.sqrt(t) * float(np.max(np.abs(
+                snap.values[mask] - evolve_on_grid(u, xs[mask], t))))
+            assert abs(gap - full) <= 2.0 * math.sqrt(t) * DEFAULT_SPEC.abs_tol
 
     def test_buffer_must_leave_interior(self):
         u = make_smooth_log_sine(1.0)
@@ -411,6 +484,20 @@ class TestSolverFailure:
         step = int(re.search(r"step (\d+) ", msg).group(1))
         assert t < 1.0
         assert step % 64 == 0
+        assert "every 64 steps" in msg
+
+    def test_range_escape_is_reported_on_the_full_grid(self):
+        # a shifted Gaussian is not even, so the whole grid is marched
+        g = make_gaussian(0.05)
+        shifted = dataclasses.replace(g, eval=lambda x: g.eval(np.asarray(x) - 0.3))
+        cfg = _cfg()
+        assert not _halves(shifted, cfg)
+        object.__setattr__(cfg, "cfl", 0.9)
+        with pytest.raises(SolverFailure) as info:
+            solve_cf(shifted, cfg)
+        msg = str(info.value)
+        assert float(re.search(r"at t = (\S+),", msg).group(1)) < 1.0
+        assert int(re.search(r"step (\d+) ", msg).group(1)) % 64 == 0
         assert "every 64 steps" in msg
 
     def test_failing_super_step_is_reported(self, monkeypatch):
