@@ -5,33 +5,32 @@ Both use second-order centered differences and homogeneous Neumann walls at
 +-X through mirror ghost nodes.  Observation points stay inside a
 domain-of-influence buffer of 8 sqrt(T) so wall effects are below tolerance.
 
-Up to t = 320 dx^2 the curvature flow takes explicit Euler steps of at most
-dt = 0.4 dx^2 (FDSolverConfig.cfl, a constant).  The diffusion coefficient is
-at most 1 and 0.4 <= 1/2, so every such step is a convex combination of
-neighbours (Courant, Friedrichs & Lewy 1928) and a discrete maximum principle
-holds.  Each record interval is cut into the fewest equal steps of at most
-0.4 dx^2 (_steps).  `_march` takes them in place: each step writes the forward
-differences g of u, the second differences D = g[1:] - g[:-1] and
-S = g[1:] + g[:-1] into buffers allocated once per call, then adds
-D / (1/r + S^2 / (4 dx^2 r)) to the interior, with r = dt / dx^2; the mirror
-walls read g[0] and g[-1].  The range of the initial data is checked every
-_CHECK_EVERY = 64 steps and on the last step of each record interval, so an
-instability raises SolverFailure near the step where it starts, not at the
-next record time.
+The curvature flow is marched by one stepper (_stepper) along one schedule
+(_schedule).  A step of length tau in s stages starts with one pass of the
+stencil, F = D / (1/r + S^2 / (4 dx^2 r)) inside, from the forward
+differences g of u with D = g[1:] - g[:-1], S = g[1:] + g[:-1] and
+r = w1 tau / dx^2, and +-2 r g at the mirror walls.  With s = 1 it is the
+explicit Euler step u += F.  With s >= 2 it is a second-order
+Runge-Kutta-Legendre (RKL2) super-step (Meyer, Balsara & Aslam, J. Comput.
+Phys. 257, 2014), a Chebyshev-type stabilised method in the line of RKC
+(Verwer, Hundsdorfer & Sommeijer, Numer. Math. 57, 1990), whose stages are
+passes of the same stencil.  The buffers are made once per march.
 
-After t = 320 dx^2 an explicit step costs more than it must: the flow takes
-second-order Runge-Kutta-Legendre (RKL2) super-steps (Meyer, Balsara & Aslam,
-J. Comput. Phys. 257, 2014), a Chebyshev-type stabilised method in the line
-of RKC (Verwer, Hundsdorfer & Sommeijer, Numer. Math. 57, 1990).  A
-super-step at time t is at most 0.02 t long, and its s stages cover about
-s^2 / 4 explicit steps (_super_steps, _stages), so reaching t takes about
-45 sqrt(t) / dx stages instead of 2.5 t / dx^2 steps.  Its stages are explicit
-sub-steps of the same stencil, but with negative coefficients, so no discrete
-maximum principle is proved for them: the range is checked after every
-super-step.  The switch time is where a super-step first replaces 16
-explicit steps; every snapshot up to it is the explicit scheme's.  The RKL2
-coefficients of each stage count come from a table (_rkl2_table), and the
-stage loop runs on buffers made once per march (_rkl2_stepper).
+Up to t = 320 dx^2 the schedule cuts each record interval into the fewest
+equal explicit steps of at most dt = 0.4 dx^2 (FDSolverConfig.cfl, a
+constant; _steps).  The diffusion coefficient is at most 1 and 0.4 <= 1/2, so
+every such step is a convex combination of neighbours (Courant, Friedrichs &
+Lewy 1928) and a discrete maximum principle holds.  The range of the initial
+data is checked every _CHECK_EVERY = 64 explicit steps, at the switch and at
+each record time, so an instability raises SolverFailure near the step where
+it starts, not at the next record time.  After 320 dx^2 an explicit step
+costs more than it must, and the schedule gives one super-step at a time: at
+time t it is at most 0.02 t long, and its s stages cover about s^2 / 4
+explicit steps (_stages), so reaching t takes about 45 sqrt(t) / dx stages
+instead of 2.5 t / dx^2 steps.  The stages have negative coefficients, so no
+discrete maximum principle is proved for them: the range is checked after
+every super-step.  The switch time is where a super-step first replaces 16
+explicit steps; every snapshot up to it is the explicit scheme's.
 
 Even data are marched on half the grid.  When the grid has an odd number n of
 nodes and u0 is exactly even on it (_even_centre, the one place that decides),
@@ -42,7 +41,7 @@ takes its sup over the same nodes.  Every catalog datum the curvature flow
 accepts is even.  The full-grid march keeps even data even only up to
 rounding, because linspace nodes are not exactly antisymmetric; the half
 grid's snapshots agree with it to that rounding (within 6e-15).  Other data,
-and grids of even n, are marched whole.
+and grids of even n, are marched whole (c = 0).
 
 The heat twin stays the explicit scheme at every t, evaluated in closed form.
 With mirror walls the step u <- u + r D is periodic on the even extension of
@@ -122,14 +121,16 @@ class FDSolverConfig:
 
 
 def _start(u0: InitialDatum, cfg: FDSolverConfig):
-    """Grid, spacing, initial values and the range [lo, hi] they must keep."""
+    """Grid, spacing, initial values u, the first marched node c and the range
+    [lo, hi] that u must keep.  The march and the heat twin work on u[c:]."""
     xs = cfg.nodes()
     u = np.array(u0.eval(xs), dtype=float)
-    return xs, xs[1] - xs[0], u, float(u.min()) - 1e-8, float(u.max()) + 1e-8
+    c = _even_centre(u0, xs)
+    return xs, xs[1] - xs[0], u, c, float(u.min()) - 1e-8, float(u.max()) + 1e-8
 
 
-def _even_centre(u0: InitialDatum, xs: np.ndarray) -> int | None:
-    """The centre node c = n // 2 when u0 is exactly even on the grid, else None.
+def _even_centre(u0: InitialDatum, xs: np.ndarray) -> int:
+    """The centre node c = n // 2 when u0 is exactly even on the grid, else 0.
 
     Then only nodes c..n-1 need marching, with a mirror wall at c.  The datum
     is evaluated at -xs[c:], not compared with its own reversal: linspace
@@ -139,18 +140,22 @@ def _even_centre(u0: InitialDatum, xs: np.ndarray) -> int | None:
     c = len(xs) // 2
     if len(xs) % 2 and np.array_equal(u0.eval(-xs[c:]), u0.eval(xs[c:])):
         return c
-    return None
+    return 0
 
 
-def _snapshot(xs: np.ndarray, w: np.ndarray, c: int | None) -> GridFunction:
-    """The grid function of the marched values w, mirrored about c if halved."""
-    values = w.copy() if c is None else np.concatenate((w[:0:-1], w))
-    return GridFunction(float(xs[0]), float(xs[-1]), len(xs), values)
+def _snapshot(xs: np.ndarray, w: np.ndarray, c: int) -> GridFunction:
+    """The grid function of the values w marched from node c, mirrored about c."""
+    return GridFunction(float(xs[0]), float(xs[-1]), len(xs), np.concatenate((w[c:0:-1], w)))
 
 
 def _steps(t: float, end: float, dt_max: float) -> tuple[int, float]:
-    """The fewest equal steps of at most dt_max from t to end: (nsteps, dt)."""
-    nsteps = max(1, int(math.ceil((end - t) / dt_max - 1e-12)))
+    """The fewest equal steps of at most dt_max from t to end: (nsteps, dt).
+
+    dt_max carries the rounding of dx = xs[1] - xs[0], about ulp(X) / dx
+    relative (7e-12 at X = 4000, dx = 0.025), so the guard that keeps a
+    whole number of steps from taking one more is relative to the ratio.
+    """
+    nsteps = max(1, math.ceil((end - t) / dt_max * (1.0 - 1e-9)))
     return nsteps, (end - t) / nsteps
 
 
@@ -159,22 +164,27 @@ def _stages(tau: float, dt_max: float) -> int:
     return max(2, math.ceil((math.sqrt(9.0 + 16.0 * tau / dt_max) - 1.0) / 2.0))
 
 
-def _super_steps(t: float, target: float, dt_max: float):
-    """(t after it, tau, s) for each RKL2 super-step from t to target.
+def _schedule(t: float, target: float, dt_max: float):
+    """(end, tau, s, count) for each run of count equal steps from t to target.
 
-    A super-step is _ACCURACY * t long or ends at target; a rest shorter than
-    two super-steps is cut into two halves, so no sliver is left.
+    Up to the switch at _SWITCH_STEPS dt_max / _ACCURACY = 320 dx^2 the march
+    takes one run of equal explicit steps (s = 1, _steps); a record time within
+    rounding of the switch is reached by them.  After it, each item is one
+    RKL2 super-step: _ACCURACY * t long or ending at target, with a rest
+    shorter than two super-steps cut into two halves, so no sliver is left.
     """
-    while True:
-        left = target - t
-        tau = _ACCURACY * t
-        if left <= tau:
-            yield target, left, _stages(left, dt_max)
-            return
-        if left < 2.0 * tau:
-            tau = 0.5 * left
-        t += tau
-        yield t, tau, _stages(tau, dt_max)
+    switch = _SWITCH_STEPS * dt_max / _ACCURACY
+    end = target if target <= switch * (1.0 + 1e-12) else switch
+    if t < end:
+        count, dt = _steps(t, end, dt_max)
+        yield end, dt, 1, count
+        t = end
+    while t < target:
+        tau = min(_ACCURACY * t, target - t)
+        if tau < target - t < 2.0 * tau:
+            tau = 0.5 * (target - t)
+        t = target if tau == target - t else t + tau
+        yield t, tau, _stages(tau, dt_max), 1
 
 
 def _check_range(u, lo, hi, t, where, dx, cfl, checked) -> None:
@@ -202,132 +212,117 @@ def _rkl2_table(s: int) -> tuple[tuple[float, float, float], ...]:
     return tuple(rows)
 
 
-def _rkl2_stepper(u: np.ndarray, dx: float):
-    """super_step(tau, s): one RKL2 super-step of length tau in s stages on u.
+def _stepper(u: np.ndarray, dx: float):
+    """step(tau, s, count): count steps of length tau in s stages on u, in place.
 
-    The stages of Meyer, Balsara & Aslam (2014) start from Y_0 = u:
-        Y_1 = Y_0 + b_1 F,  F = w1 tau L(Y_0),  w1 = 4 / (s^2 + s - 2),
+    Each step starts from F = w1 tau L(u), one pass of the stencil with
+    r = w1 tau / dx^2.  s = 1 is the explicit Euler step u += F (w1 = 1).
+    s >= 2 is the RKL2 super-step of Meyer, Balsara & Aslam (2014) from
+    Y_0 = u, with w1 = 4 / (s^2 + s - 2):
+        Y_1 = Y_0 + b_1 F,
         Y_j = mu_j (Y_{j-1} + w1 tau L(Y_{j-1}) - a_{j-1} F) + nu_j Y_{j-2}
               + (1 - mu_j - nu_j) Y_0,
     with a_j = 1 - b_j, mu_j = (2j - 1)/j b_j/b_{j-1} and
-    nu_j = -(j - 1)/j b_j/b_{j-2}, and u becomes Y_s in place.  w1 tau L is
-    one explicit step of r = w1 tau / dx^2, and mu_j folds into its divisor.
-    The stages carry Z_j = Y_j - Y_0, which stays exactly 0 for constant
-    data.  The work buffers and their views are made here, once per march,
-    and the stencil is written out in the stage loop: a stage is 14 array
-    passes and no Python call.
+    nu_j = -(j - 1)/j b_j/b_{j-2}, and u becomes Y_s.  Each stage is one
+    stencil pass with mu_j folded into r.  The stages carry Z_j = Y_j - Y_0,
+    which stays exactly 0 for constant data.  The work buffers and their
+    views are made here, once per march, and a run of count steps is one
+    call with one set of stencil coefficients.
     """
     n = len(u)
-    g0, g = np.empty(n - 1), np.empty(n - 1)
-    D, S = np.empty(n - 2), np.empty(n - 2)
-    F, tmp = np.empty(n), np.empty(n)
-    u_right, u_left = u[1:], u[:-1]
-    g0_right, g0_left, g_right, g_left = g0[1:], g0[:-1], g[1:], g[:-1]
-    F_inner = F[1:-1]
-    # (Z, its interior, Z[1:], Z[:-1]) for Z_{j-2}, Z_{j-1} and Z_j
-    Zs = [(Z, Z[1:-1], Z[1:], Z[:-1]) for Z in (np.empty(n), np.empty(n), np.empty(n))]
-    b1 = _b(1)
+    g, g0 = np.empty(n - 1), np.empty(n - 1)   # forward differences
+    S = np.empty(n - 2)                         # doubled centered differences
+    L, F = np.empty(n), np.empty(n)
+    u_right, u_left, g_right, g_left, L_inner = u[1:], u[:-1], g[1:], g[:-1], L[1:-1]
+    # (Z, Z[1:], Z[:-1]) for Z_{j-1} and Z_{j-2}
+    Zs = [(Z, Z[1:], Z[:-1]) for Z in (np.empty(n), np.empty(n))]
+    dx2 = dx * dx
 
-    def super_step(tau: float, s: int) -> None:
-        rho = 4.0 / (s * s + s - 2) * tau / (dx * dx)
-        # F = w1 tau L(Y_0): the explicit stencil with r = rho
-        np.subtract(u_right, u_left, out=g0)
-        np.subtract(g0_right, g0_left, out=F_inner)
-        np.add(g0_right, g0_left, out=S)
+    def coefficients(r: float) -> tuple[float, float, float]:
+        inv_r = 1.0 / r
+        return inv_r, inv_r / (4.0 * dx2), 2.0 * r
+
+    def stencil(c: tuple[float, float, float]) -> None:
+        # L = r dx^2 u_xx / (1 + u_x^2) = D / (1/r + S^2 / (4 dx^2 r)) from
+        # the forward differences g; mirror ghost nodes give +-2 r g at the
+        # walls.  c = coefficients(r), computed once per run of steps
+        inv_r, slope, wall = c
+        np.subtract(g_right, g_left, out=L_inner)
+        np.add(g_right, g_left, out=S)
         np.multiply(S, S, out=S)
-        np.multiply(S, 1.0 / (4.0 * dx * dx * rho), out=S)
-        np.add(S, 1.0 / rho, out=S)
-        np.divide(F_inner, S, out=F_inner)
-        # mirror ghost nodes: zero-slope walls
-        F[0], F[-1] = 2.0 * rho * g0[0], -2.0 * rho * g0[-1]
-        Z2, Z1, Z = Zs
-        Z2[0].fill(0.0)
-        np.multiply(F, b1, out=Z1[0])
-        for mu, nu, gam in _rkl2_table(s):
-            rr = mu * rho
-            # the forward differences of Y_{j-1} = u + Z_{j-1}
-            np.subtract(Z1[2], Z1[3], out=g)
-            np.add(g, g0, out=g)
-            np.subtract(g_right, g_left, out=D)
-            np.add(g_right, g_left, out=S)
-            np.multiply(S, S, out=S)
-            np.multiply(S, 1.0 / (4.0 * dx * dx * rr), out=S)
-            np.add(S, 1.0 / rr, out=S)
-            np.divide(D, S, out=D)
-            Zj = Z[0]
-            np.multiply(Z2[0], nu, out=Zj)
-            np.multiply(Z1[0], mu, out=tmp)
-            np.add(Zj, tmp, out=Zj)
-            np.multiply(F, gam, out=tmp)
-            np.add(Zj, tmp, out=Zj)
-            np.add(Z[1], D, out=Z[1])
-            Zj[0] += 2.0 * mu * rho * g[0]
-            Zj[-1] -= 2.0 * mu * rho * g[-1]
-            Z2, Z1, Z = Z1, Z, Z2
-        np.add(u, Z1[0], out=u)
+        np.multiply(S, slope, out=S)
+        np.add(S, inv_r, out=S)
+        np.divide(L_inner, S, out=L_inner)
+        L[0], L[-1] = wall * g[0], -wall * g[-1]
 
-    return super_step
+    def stages(rho: float, s: int) -> np.ndarray:
+        # Z_s of a super-step from F = L and the differences g of Y_0 = u
+        np.copyto(g0, g)
+        np.copyto(F, L)
+        Z1, Z2 = Zs
+        np.multiply(F, _b(1), out=Z1[0])
+        Z2[0].fill(0.0)
+        for mu, nu, gam in _rkl2_table(s):
+            # the forward differences of Y_{j-1} = u + Z_{j-1}
+            np.subtract(Z1[1], Z1[2], out=g)
+            np.add(g, g0, out=g)
+            stencil(coefficients(mu * rho))
+            # Z_j = nu Z_{j-2} + mu rho L(Y_{j-1}) + mu Z_{j-1} + gam F, over Z_{j-2}
+            Zj = Z2[0]
+            np.multiply(Zj, nu, out=Zj)
+            np.add(Zj, L, out=Zj)
+            np.multiply(Z1[0], mu, out=L)
+            np.add(Zj, L, out=Zj)
+            np.multiply(F, gam, out=L)
+            np.add(Zj, L, out=Zj)
+            Z1, Z2 = Z2, Z1
+        return Z1[0]
+
+    def step(tau: float, s: int, count: int) -> None:
+        rho = (1.0 if s == 1 else 4.0 / (s * s + s - 2)) * tau / dx2
+        c = coefficients(rho)
+        for _ in range(count):
+            np.subtract(u_right, u_left, out=g)
+            stencil(c)
+            np.add(u, L if s == 1 else stages(rho, s), out=u)
+
+    return step
 
 
 def _march(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
-    xs, dx, u, lo, hi = _start(u0, cfg)
-    c = _even_centre(u0, xs)
-    if c is not None:
-        # even data: march nodes c..n-1, with the centre as a mirror wall
-        u = u[c:]
-    dt_max = cfg.cfl * dx * dx
-    t_switch = _SWITCH_STEPS * dt_max / _ACCURACY
-    # work buffers and the views the stencil reads and writes, made once
-    g = np.empty(len(u) - 1)   # forward differences u[i+1] - u[i]
-    D = np.empty(len(u) - 2)   # second differences
-    S = np.empty(len(u) - 2)   # doubled centered differences
-    u_right, u_left, u_inner = u[1:], u[:-1], u[1:-1]
-    g_right, g_left = g[1:], g[:-1]
-    super_step = None  # made at the first super-step: short marches take none
+    xs, dx, u, c, lo, hi = _start(u0, cfg)
+    w = u[c:]  # even data: nodes c..n-1, with the centre as a mirror wall
+    step = _stepper(w, dx)
     snapshots = []
-    step = supers = 0
+    explicit = supers = 0
     t = 0.0
     for target in cfg.record_times:
-        # a record time within rounding of the switch is reached by explicit steps
-        end = target if target <= t_switch * (1.0 + 1e-12) else t_switch
-        if t < end:
-            nsteps, dt = _steps(t, end, dt_max)
-            r = dt / (dx * dx)
-            wall = 2.0 * r
-            # u_xx / (1 + u_x^2) dt = D / (1/r + S^2 / (4 dx^2 r))
-            inv_r = 1.0 / r
-            slope_coef = inv_r / (4.0 * dx * dx)
-            for k in range(1, nsteps + 1):
-                np.subtract(u_right, u_left, out=g)
-                np.subtract(g_right, g_left, out=D)
-                np.add(g_right, g_left, out=S)
-                np.multiply(S, S, out=S)
-                np.multiply(S, slope_coef, out=S)
-                np.add(S, inv_r, out=S)
-                np.divide(D, S, out=D)
-                # mirror ghost nodes: zero-slope walls, from the pre-step differences
-                u[0] += wall * g[0]
-                u[-1] -= wall * g[-1]
-                np.add(u_inner, D, out=u_inner)
-                step += 1
-                if step % _CHECK_EVERY == 0 or k == nsteps:
-                    t_check = end if k == nsteps else t + k * dt
-                    _check_range(u, lo, hi, t_check, f"explicit step {step}", dx, cfg.cfl,
-                                 f"every {_CHECK_EVERY} steps, at the switch and at "
-                                 f"each record time")
-            t = end
-        if t < target:
-            # RKL2 stages have negative coefficients, so no discrete maximum
-            # principle is proved for them: the range is checked after each one
-            if super_step is None:
-                super_step = _rkl2_stepper(u, dx)
-            for t, tau, s in _super_steps(t, target, dt_max):
-                super_step(tau, s)
+        for end, tau, s, count in _schedule(t, target, cfg.cfl * dx * dx):
+            # a run of explicit steps is taken to each multiple of
+            # _CHECK_EVERY and to its end, where the range is checked; a
+            # super-step is a run of one
+            done = 0
+            for k in (*range(_CHECK_EVERY - explicit % _CHECK_EVERY, count, _CHECK_EVERY),
+                      count):
+                step(tau, s, k - done)
+                done = k
+                if s == 1:
+                    where = f"explicit step {explicit + k}"
+                    checked = (f"every {_CHECK_EVERY} steps, at the switch and at "
+                               f"each record time")
+                else:
+                    # RKL2 stages have negative coefficients, so no discrete
+                    # maximum principle is proved for them
+                    where = f"super-step {supers + 1} (s = {s} stages, tau = {tau:.6g})"
+                    checked = "after every super-step"
+                _check_range(w, lo, hi, end if k == count else t + k * tau, where, dx,
+                             cfg.cfl, checked)
+            if s == 1:
+                explicit += count
+            else:
                 supers += 1
-                _check_range(u, lo, hi, t,
-                             f"super-step {supers} (s = {s} stages, tau = {tau:.6g})",
-                             dx, cfg.cfl, "after every super-step")
-        snapshots.append(_snapshot(xs, u, c))
+            t = end
+        snapshots.append(_snapshot(xs, w, c))
     return snapshots
 
 
@@ -362,13 +357,12 @@ def solve_heat_fd(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
     Same grid, steps and mirror walls as solve_cf with u_xx alone; each
     record interval is one product by lambda_k^nsteps in the cosine basis.
     """
-    xs, dx, u, lo, hi = _start(u0, cfg)
-    c = _even_centre(u0, xs)
+    xs, dx, u, c, lo, hi = _start(u0, cfg)
     # the constant part is an exact fixed point of every step, so only the
     # rest goes through the transform and constant data stays exact
     base = u[0]
     # even data: the half from the centre, whose extension is the full one's
-    v = (u if c is None else u[c:]) - base
+    v = u[c:] - base
     n = len(v)
     m = 2 * (n - 1)
     # even extension about both walls; its transform is real up to rounding
@@ -407,12 +401,10 @@ def curvature_heat_gap(
     mask = np.abs(xs) <= cfg.half_width - cfg.buffer
     if not np.any(mask):
         raise ValueError("domain-of-influence buffer leaves no interior points")
-    c = _even_centre(u0, xs)
-    if c is not None:
-        # the snapshots are mirrored halves and the heat solution is even,
-        # so the sup over the nodes from the centre on is the whole sup
-        mask[:c] = False
     snaps = solve_cf(u0, cfg)
+    # for even data the snapshots are mirrored halves and the heat solution
+    # is even, so the sup over the nodes from the centre on is the whole sup
+    mask[:_even_centre(u0, xs)] = False
     out = []
     for t, snap in zip(cfg.record_times, snaps):
         ref = evolve_on_grid(u0, xs[mask], t, spec)

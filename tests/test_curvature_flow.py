@@ -20,6 +20,7 @@ from mildheat.curvature_flow import (
 from mildheat.initial_data import (
     make_constant,
     make_gaussian,
+    make_log_sine,
     make_smooth_log_sine,
     make_step,
 )
@@ -128,6 +129,23 @@ class TestSolvers:
     def test_curvature_flow_rejects_kinked_data(self):
         with pytest.raises(ValueError, match="twice-differentiable"):
             solve_cf(make_step(0.0, 1.0), _cfg())
+        # log_sine is undefined at x = 0: the gap checks smoothness before
+        # it evaluates the datum
+        with pytest.raises(ValueError, match="twice-differentiable"):
+            curvature_heat_gap(make_log_sine(), _cfg())
+
+
+@pytest.mark.parametrize(
+    "half_width, t, nsteps",
+    [(16.0, 1.0, 250), (200.0, 1.5, 375), (120.0, 3.0, 750), (120.0, 64.0, 16_000)],
+)
+def test_whole_step_counts_take_no_extra_step(half_width, t, nsteps):
+    # dx = xs[1] - xs[0] comes out a few ulps below 0.1 on these grids, so
+    # t / (0.4 dx^2) lies a few ulps above the whole number nsteps
+    xs = _cfg(half_width=half_width, t_final=t, record_times=(t,)).nodes()
+    dt_max = 0.4 * (xs[1] - xs[0]) ** 2
+    assert nsteps < t / dt_max < nsteps * (1.0 + 1e-12)
+    assert curvature_flow._steps(0.0, t, dt_max) == (nsteps, t / nsteps)
 
 
 def _reference_march(u0, cfg, nonlinear):
@@ -139,7 +157,7 @@ def _reference_march(u0, cfg, nonlinear):
     out = []
     t = 0.0
     for target in cfg.record_times:
-        nsteps = max(1, int(math.ceil((target - t) / dt_max - 1e-12)))
+        nsteps = max(1, math.ceil((target - t) / dt_max * (1.0 - 1e-9)))
         dt = (target - t) / nsteps
         for _ in range(nsteps):
             uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
@@ -215,7 +233,7 @@ def _even_cosine_mode(cfg, k):
 
 def _halves(u0, cfg):
     """Whether the solvers march u0 on half of cfg's grid."""
-    return curvature_flow._even_centre(u0, cfg.nodes()) is not None
+    return curvature_flow._even_centre(u0, cfg.nodes()) > 0
 
 
 def test_even_data_on_odd_grids_take_the_half_grid():
@@ -247,7 +265,7 @@ class TestHeatClosedForm:
         t = 0.0
         rs = []
         for target, snap in zip(cfg.record_times, snaps):
-            nsteps = math.ceil((target - t) / (cfg.cfl * dx * dx))
+            nsteps = math.ceil((target - t) / (cfg.cfl * dx * dx) * (1.0 - 1e-9))
             r = (target - t) / nsteps / (dx * dx)
             factor *= (1.0 - 4.0 * r * sin2) ** nsteps
             rs.append(r)
@@ -272,20 +290,20 @@ class TestHeatClosedForm:
         self._check(cfg, mode, k)
 
     def test_slow_mode_over_many_steps(self):
-        # 25,001 steps of the slowest mode, lambda^n near 1/e: the rounding
+        # 25,000 steps of the slowest mode, lambda^n near 1/e: the rounding
         # of 1 - a raised to the n-th power would miss by 5e-13 here, so
         # the reference power is taken in 50-digit decimals
         cfg = _cfg(half_width=16.0, t_final=100.0, record_times=(100.0,))
         mode = _cosine_mode(cfg, 1)
         xs = cfg.nodes()
         dx = xs[1] - xs[0]
-        nsteps = math.ceil(100.0 / (cfg.cfl * dx * dx))
+        nsteps = math.ceil(100.0 / (cfg.cfl * dx * dx) * (1.0 - 1e-9))
         r = 100.0 / nsteps / (dx * dx)
         sin2 = math.sin(math.pi / (2 * (len(xs) - 1))) ** 2
         with localcontext() as ctx:
             ctx.prec = 50
             factor = float((1 - 4 * Decimal(r) * Decimal(sin2)) ** nsteps)
-        assert nsteps > 25_000 and 0.3 < factor < 0.5
+        assert nsteps == 25_000 and 0.3 < factor < 0.5
         snap = solve_heat_fd(mode, cfg)[0]
         assert np.max(np.abs(snap.values - factor * mode.eval(xs))) <= 1e-13
 
@@ -300,15 +318,15 @@ def _rkl2_factor(s, z):
 def _schedule(t, target, dx):
     """The march's steps from t to target, from the rules it states.
 
-    Explicit steps of at most 0.4 dx^2 up to 320 dx^2, as ("euler", dt, n);
-    after that ("rkl2", tau, s) super-steps of 0.02 t, or the rest of the
-    interval, with a rest under two super-steps cut in halves, and s the
-    fewest stages with tau <= 0.4 dx^2 (s^2 + s - 2) / 4.
+    Explicit steps of at most 0.4 dx^2 (to a relative 1e-9) up to 320 dx^2,
+    as ("euler", dt, n); after that ("rkl2", tau, s) super-steps of 0.02 t,
+    or the rest of the interval, with a rest under two super-steps cut in
+    halves, and s the fewest stages with tau <= 0.4 dx^2 (s^2 + s - 2) / 4.
     """
     dt_max = 0.4 * dx * dx
     end = min(target, 320.0 * dx * dx)
     if t < end:
-        nsteps = math.ceil((end - t) / dt_max - 1e-12)
+        nsteps = math.ceil((end - t) / dt_max * (1.0 - 1e-9))
         yield "euler", (end - t) / nsteps, nsteps
         t = end
     while t < target:
@@ -363,18 +381,20 @@ class TestSuperStepClosedForm:
         assert _halves(mode, cfg) == (half_width == 4.0)
         self._check_through_the_switch(cfg, mode, k)
 
-    @pytest.mark.parametrize("s", [2, 8, 41])
+    @pytest.mark.parametrize("s", [1, 2, 8, 41])
     @pytest.mark.parametrize("k", [1, 20, 40, 79, 80])
     def test_one_super_step_on_each_mode(self, k, s):
-        # the fastest modes are gone by 320 dx^2 in a march, so one
-        # super-step of the largest tau its s stages allow is checked alone
+        # the fastest modes are gone by 320 dx^2 in a march, so one step of
+        # the largest tau its s stages allow is checked alone; s = 1 is the
+        # explicit step, which multiplies the mode by 1 + tau lambda_k
         cfg = _cfg(half_width=4.0)
         xs = cfg.nodes()
         dx = xs[1] - xs[0]
-        tau = 0.4 * dx * dx * (s * s + s - 2) / 4.0
+        tau = 0.4 * dx * dx * (1.0 if s == 1 else (s * s + s - 2) / 4.0)
+        z = tau * self._eigenvalue(len(xs), dx, k)
         u = self.EPS * _cosine_mode(cfg, k).eval(xs)
-        want = _rkl2_factor(s, tau * self._eigenvalue(len(xs), dx, k)) * u
-        curvature_flow._rkl2_stepper(u, dx)(tau, s)
+        want = (1.0 + z if s == 1 else _rkl2_factor(s, z)) * u
+        curvature_flow._stepper(u, dx)(tau, s, 1)
         assert np.max(np.abs(u - want)) <= 1e-9 * self.EPS
 
 
@@ -498,6 +518,19 @@ class TestSolverFailure:
         msg = str(info.value)
         assert float(re.search(r"at t = (\S+),", msg).group(1)) < 1.0
         assert int(re.search(r"step (\d+) ", msg).group(1)) % 64 == 0
+        assert "every 64 steps" in msg
+
+    def test_range_escape_is_reported_at_a_record_time(self):
+        # at cfl = 0.54 the fastest mode grows by 1.16 a step and leaves the
+        # range near step 79, after the check at step 64; the record time
+        # 0.55 ends its interval at step ceil(0.55 / 0.0054) = 102, before
+        # the check at step 128, and its check reports the escape
+        cfg = _cfg(record_times=(0.55, 1.0))
+        object.__setattr__(cfg, "cfl", 0.54)
+        with pytest.raises(SolverFailure) as info:
+            solve_cf(make_gaussian(0.05), cfg)
+        msg = str(info.value)
+        assert "at t = 0.55, explicit step 102 " in msg
         assert "every 64 steps" in msg
 
     def test_failing_super_step_is_reported(self, monkeypatch):
