@@ -289,7 +289,12 @@ def _stepper(u: np.ndarray, dx: float):
     return step
 
 
-def _march(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
+def _march(u0: InitialDatum, cfg: FDSolverConfig) -> tuple[list[GridFunction], int]:
+    """Curvature flow snapshots at cfg.record_times and the first marched node c."""
+    if not u0.smooth:
+        raise ValueError(
+            f"curvature flow needs a twice-differentiable datum, got {u0.id}"
+        )
     xs, dx, u, c, lo, hi = _start(u0, cfg)
     w = u[c:]  # even data: nodes c..n-1, with the centre as a mirror wall
     step = _stepper(w, dx)
@@ -323,7 +328,7 @@ def _march(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
                 supers += 1
             t = end
         snapshots.append(_snapshot(xs, w, c))
-    return snapshots
+    return snapshots, c
 
 
 def _eigen_powers(a: np.ndarray, steps: int) -> np.ndarray:
@@ -344,11 +349,7 @@ def _eigen_powers(a: np.ndarray, steps: int) -> np.ndarray:
 
 def solve_cf(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
     """Curvature flow snapshots at cfg.record_times; requires a C^2 datum."""
-    if not u0.smooth:
-        raise ValueError(
-            f"curvature flow needs a twice-differentiable datum, got {u0.id}"
-        )
-    return _march(u0, cfg)
+    return _march(u0, cfg)[0]
 
 
 def solve_heat_fd(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
@@ -401,10 +402,10 @@ def curvature_heat_gap(
     mask = np.abs(xs) <= cfg.half_width - cfg.buffer
     if not np.any(mask):
         raise ValueError("domain-of-influence buffer leaves no interior points")
-    snaps = solve_cf(u0, cfg)
+    snaps, c = _march(u0, cfg)
     # for even data the snapshots are mirrored halves and the heat solution
     # is even, so the sup over the nodes from the centre on is the whole sup
-    mask[:_even_centre(u0, xs)] = False
+    mask[:c] = False
     out = []
     for t, snap in zip(cfg.record_times, snaps):
         ref = evolve_on_grid(u0, xs[mask], t, spec)

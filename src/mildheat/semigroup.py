@@ -18,27 +18,33 @@ damped integrand and grades data that vary on the scale z ~ 1/sqrt(t), so
 every catalog datum certifies at arbitrarily large t (tested to 1e16).
 
 One engine, :func:`scaled_evolve_many`, computes every heat evolution: it
-takes an array of points, refines composite Simpson by doubling until the
-Richardson estimate certifies its share of spec.abs_tol, and sums each node
-only into the points within the Gaussian window of it
+takes an array of points, cuts them into cells, integrates each cell over
+its own window, the points' span widened by the Gaussian window
 (:func:`~mildheat.kernels.gauss_window`, derived from abs_tol and charged to
-it).  It raises :class:`~mildheat.kernels.UncertifiedQuadrature` when a
-segment reaches its node cap uncertified.  :func:`scaled_evolve`,
-:func:`evolve` and :func:`evolve_on_grid` are the same computation at one
-point or at physical coordinates.
+it), and refines composite Simpson by doubling until the Richardson estimate
+certifies its share of spec.abs_tol at the cell's points.  It raises
+:class:`~mildheat.kernels.UncertifiedQuadrature` when a segment reaches its
+node cap uncertified.  :func:`scaled_evolve`, :func:`evolve` and
+:func:`evolve_on_grid` are the same computation at one point or at physical
+coordinates.
 
-For a fixed node set a level's Gaussian sum is an entire function of x, so
-the engine cuts the sorted points once per call into cells at most _CELL = 7
-units wide (:func:`_cells`), as in the local expansions of Greengard &
-Strain's fast Gauss transform.  A cell of more than 2 _TARGETS points is
-summed at its _TARGETS = 36 first-kind Chebyshev targets and interpolated to
-its points by a barycentric matrix built once per call; other cells are
-summed at their points.  Cramer's inequality for Hermite functions bounds
-the interpolation error by coef * sum_j |c_j| (7.6e-18 sum_j |c_j| on a full
-cell); a level whose bound exceeds _INTERP_PART of its segment's share is
-summed at the points instead, and the bound is charged to the Richardson
-certificate, so refinement levels and node counts are those of the direct
-sum.
+Integrating only where a cell's Gaussians reach is the locality of Greengard
+& Strain's fast Gauss transform: a point far from the rest costs no more
+than a near one.  Each cell's Gaussian is taken in coordinates centred on
+it, so a far cell loses no digits, and its window's ends are rounded
+outward; a point certifies out to about 1e20, and beyond it the window,
+at least two ulps wide, needs more than the node cap and raises before any
+evaluation.  For a fixed node set a level's Gaussian sum is an entire
+function of x, so the cells are at most _CELL = 10 units wide
+(:func:`_cells`), as in the transform's local expansions.  A cell of more
+than 2 _TARGETS points is summed at its _TARGETS = 48 first-kind Chebyshev
+targets and interpolated to its points by a barycentric matrix built when
+the cell is integrated (:func:`_cell`); other cells are summed at their
+points.  Cramer's inequality for Hermite functions bounds the interpolation
+error by coef * sum_j |c_j| (4.6e-19 sum_j |c_j| on a full cell); a level
+whose bound exceeds _INTERP_PART of its segment's share is summed at the
+points instead, and the bound is charged to the Richardson certificate, so
+refinement levels and node counts are those of the direct sum.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ _FIRST_PANELS, _PANEL_CAP = 256, 1 << 17
 # similarity units; a cell of more than 2 _TARGETS points is summed at
 # _TARGETS Chebyshev targets and interpolated, while a level's interpolation
 # bound fits _INTERP_PART of the segment's share
-_CELL, _TARGETS, _INTERP_PART = 7.0, 36, 1.0 / 64.0
+_CELL, _TARGETS, _INTERP_PART = 10.0, 48, 1.0 / 64.0
 # Cramer's constant, rounded up: |H_n(v)| e^{-v^2/2} <= k 2^{n/2} sqrt(n!)
 _CRAMER = 1.0865
 
@@ -179,12 +185,12 @@ def scaled_evolve_many(
     """u(sqrt(t) x, t) at an array of similarity points x, in input order.
 
     The window w = gauss_window(abs_tol, sup|u0|) takes _TAIL_PART of the
-    budget.  Each half-line [0, max|x| + w] is split by _halfline_plan at
-    scale sqrt(t), and each segment is certified to its share of the rest by
-    _refined_halfline_segment.  The points are sorted and cut into cells
-    once (_cells), so each node sums only into the cells within w of it,
-    and both sides share the cells: the side z < 0 is the Gaussian sum at x
-    over the mirrored nodes -z.
+    budget.  The points are sorted and cut into cells (_cells), and each
+    cell x[i:e] integrates its own window [x_i - w, x_{e-1} + w] alone, with
+    both ends rounded outward so that no point's window is narrowed by
+    rounding.  On each side the part of the window at z >= 0 is split by
+    _halfline_plan at scale sqrt(t), and each segment is certified to its
+    share of the rest at the cell's points by _refined_halfline_segment.
     """
     _positive("t", t)
     xs = np.asarray(xs, dtype=float)
@@ -192,63 +198,78 @@ def scaled_evolve_many(
         raise ValueError("points must be a non-empty array of finite numbers")
     order = np.argsort(xs)
     x = xs[order]
-    cells = _cells(x)
     st = math.sqrt(t)
     w = gauss_window(spec.abs_tol, u0.sup_norm)
     # the window's part aside, both sides' errors over 2 sqrt(pi) total abs_tol
     side_tol = (1.0 - _TAIL_PART) * spec.abs_tol * SQRT_PI
     acc = np.zeros_like(x)
-    for sign in (-1.0, 1.0):
-        upper = max(0.0, float(x[-1] if sign > 0 else -x[0])) + w
-        plan = _halfline_plan(u0, 0.0, upper, st, side_tol, u0.sup_norm)
-        for (kind, a, b), tol in plan:
-            acc += _refined_halfline_segment(u0, x, cells, st, sign, kind, a, b, tol, w)
+    for i, e in _cells(x):
+        cell = _cell(x[i:e])
+        lo = float(np.nextafter(x[i] - w, -np.inf))
+        hi = float(np.nextafter(x[e - 1] + w, np.inf))
+        # the side z < 0 meets the window at z in [-hi, -lo]
+        for sign, a, b in ((-1.0, -hi, -lo), (1.0, lo, hi)):
+            if b <= 0.0:
+                continue
+            plan = _halfline_plan(u0, max(0.0, a), b, st, side_tol, u0.sup_norm)
+            for (kind, p, q), tol in plan:
+                acc[i:e] += _refined_halfline_segment(
+                    u0, x[i:e], cell, st, sign, kind, p, q, tol)
     out = np.empty_like(acc)
     out[order] = acc / (2.0 * SQRT_PI)
     return out
 
 
-def _refined_halfline_segment(u0, x, cells, st, sign, kind, a, b, tol, w):
+def _refined_halfline_segment(u0, x, cell, st, sign, kind, a, b, tol):
     """Certified int_a^b e^{-(x - sign z)^2/4} u0(sign st z) dz at ascending x.
 
-    cells is _cells(x).  kind "log" integrates in s = log z over [a, b]
-    instead.  Composite Simpson doubles its panel count n, each level built
-    from the trapezoid sum T and the midpoint sum M of the level before:
-    S_2m = (T_m + 2 M_m)/3 and T_2m = (T_m + M_m)/2, so a level evaluates the
-    datum and the Gaussian only at its new midpoints.  The first T has
-    _FIRST_PANELS/2 panels, or, on a "lin" segment, enough that its nodes
-    lie at most h0 = 2 pi / sqrt(log(1/tol)) apart: at spacing h the
-    trapezoid sum of e^{-(x - z)^2/4} misses about 2 e^{-4 pi^2/h^2} of its
-    mass, so no level steps over a far point's Gaussian and certifies a sum
-    that never saw it.  Each level's Gaussian sum is interpolated on the
-    dense cells when its bound eps fits _INTERP_PART of tol, and is summed
-    at every point otherwise.  T, M and S inherit the largest eps of the
-    levels they are built from, which moves the Richardson estimate by at
-    most 2 eps/15 and the returned value by 17 eps/15.  Returns
-    S_n + (S_n - S_{n/2})/15 once max |S_n - S_{n/2}| + 19 eps <= 15 tol
-    (the Richardson certificate with the interpolation charged).  No level
-    holds more than _PANEL_CAP panels: UncertifiedQuadrature is raised
-    before any evaluation if the first certificate would need more, and
-    when the next level would exceed the cap with the certificate unmet.
+    x is one cell's points and cell is _cell(x).  kind "log" integrates in
+    s = log z over [a, b] instead.  Composite Simpson doubles its panel
+    count n, each level built from the trapezoid sum T and the midpoint sum
+    M of the level before: S_2m = (T_m + 2 M_m)/3 and T_2m = (T_m + M_m)/2,
+    so a level evaluates the datum and the Gaussian only at its new
+    midpoints.  The first T has _FIRST_PANELS/2 panels, or, on a "lin"
+    segment, enough that its nodes lie at most h0 = 2 pi / sqrt(log(1/tol))
+    apart: at spacing h the trapezoid sum of e^{-(x - z)^2/4} misses about
+    2 e^{-4 pi^2/h^2} of its mass, so no level steps over a far point's
+    Gaussian and certifies a sum that never saw it.
+
+    The Gaussian is taken in coordinates centred on the cell, where a node z
+    lies at sign z - centre: a "lin" node is placed by its offset from a,
+    and sign a - centre is rounded once for every node, so a far cell's
+    Gaussian distances keep their digits.  A level's Gaussian sum is
+    interpolated from the cell's targets when its bound eps fits
+    _INTERP_PART of tol, and is summed at the points otherwise.  T, M and S
+    inherit the largest eps of the levels they are built from, which moves
+    the Richardson estimate by at most 2 eps/15 and the returned value by
+    17 eps/15.  Returns S_n + (S_n - S_{n/2})/15 once
+    max |S_n - S_{n/2}| + 19 eps <= 15 tol (the Richardson certificate with
+    the interpolation charged).  No level holds more than _PANEL_CAP
+    panels: UncertifiedQuadrature is raised before any evaluation if the
+    first certificate would need more, and when the next level would
+    exceed the cap with the certificate unmet.
     """
-    cut, coef = cells
+    centre, targets, bary, coef = cell
+    start = sign * a - centre
     eps = 0.0
 
-    def node_sum(p, weight):
-        # weight is a scalar or symmetric, so on the side z < 0 the nodes
-        # run from b down to a and the mirrored nodes -z ascend
+    def node_sum(off, weight):
+        # the nodes lie at offsets off from a, in s = log z for "log"
         nonlocal eps
-        z = np.exp(p) if kind == "log" else p
-        if sign < 0:
-            z = z[::-1]
+        if kind == "log":
+            z = np.exp(a + off)
+            y = sign * z - centre
+        else:
+            z = a + off
+            y = start + sign * off
         q = np.asarray(_one_sided(u0, sign, st * z), dtype=float) * weight
         if kind == "log":
             q *= z
-        bound = coef * float(np.sum(np.abs(q))) if coef else 0.0
-        interp = bound <= _INTERP_PART * tol
-        if interp:
+        bound = coef * float(np.sum(np.abs(q)))
+        if bary is not None and bound <= _INTERP_PART * tol:
             eps = max(eps, bound)
-        return _gauss_sum(x, z if sign > 0 else -z, q, w, cut, interp)
+            return bary @ _window_sum(targets - centre, y, q)
+        return _window_sum(x - centre, y, q)
 
     m = _FIRST_PANELS // 2
     if kind == "lin" and tol < 1.0:
@@ -261,10 +282,10 @@ def _refined_halfline_segment(u0, x, cells, st, sign, kind, a, b, tol, w):
     h = (b - a) / m
     ends = np.full(m + 1, h)
     ends[[0, -1]] *= 0.5
-    trap = node_sum(np.linspace(a, b, m + 1), ends)
+    trap = node_sum(h * np.arange(m + 1), ends)
     prev = None
     while True:
-        mid = node_sum(a + h * (np.arange(m) + 0.5), h)
+        mid = node_sum(h * (np.arange(m) + 0.5), h)
         s = (trap + 2.0 * mid) / 3.0
         n = 2 * m
         if prev is not None:
@@ -284,80 +305,65 @@ def _refined_halfline_segment(u0, x, cells, st, sign, kind, a, b, tol, w):
 
 
 def _cells(x):
-    """Cut ascending points x into cells, each spanning at most _CELL.
+    """Cut ascending points x into cells x[i:e], each spanning at most _CELL.
 
-    Returns (cut, coef).  cut lists (i, e, targets, bary) for the cell
-    x[i:e].  A cell of more than 2 _TARGETS points and of nonzero span
-    [lo, hi] carries the _TARGETS first-kind Chebyshev points of [lo, hi]
-    as targets and the matrix bary that maps values at the targets to the
-    barycentric interpolant at x[i:e] (Berrut & Trefethen 2004, with the
-    weights (-1)^k sin theta_k); a point on a target copies that target.
-    Other cells carry None and are summed at their points.
+    Returns the (i, e) pairs.
+    """
+    cuts, i = [], 0
+    while i < len(x):
+        e = int(np.searchsorted(x, x[i] + _CELL, "right"))
+        cuts.append((i, e))
+        i = e
+    return cuts
+
+
+def _cell(x):
+    """(centre, targets, bary, coef) of the cell of ascending points x.
+
+    centre is the midpoint of [lo, hi] = [x[0], x[-1]].  A cell of more
+    than 2 _TARGETS points and of nonzero span carries the _TARGETS
+    first-kind Chebyshev points of [lo, hi], ascending, as targets, and the
+    matrix bary that maps values at the targets to the barycentric
+    interpolant at x (Berrut & Trefethen 2004, with the weights
+    (-1)^k sin theta_k); a point on a target copies that target.  Other
+    cells carry (centre, None, None, 0.0) and are summed at their points.
 
     With r = _TARGETS and half-width l, f(x) = sum_j c_j e^{-(x - z_j)^2/4}
     has |f^(r)| <= k 2^{-r/2} sqrt(r!) sum_j |c_j| (Cramer's inequality,
     k = _CRAMER), so interpolation at the targets is off by at most
-    coef * sum_j |c_j|, coef = 2 k l^r / (2^{1.5 r} sqrt(r!)) at the
-    largest l of the interpolated cells (7.6e-18 at l = _CELL/2).
+    coef * sum_j |c_j|, coef = 2 k l^r / (2^{1.5 r} sqrt(r!)) (4.6e-19 at
+    l = _CELL/2).
     """
     r = _TARGETS
-    cut, half = [], 0.0
-    i = 0
-    while i < len(x):
-        e = int(np.searchsorted(x, x[i] + _CELL, "right"))
-        mid, ell = 0.5 * (x[e - 1] + x[i]), 0.5 * (x[e - 1] - x[i])
-        # the targets carry the rounding eps |mid| of the cell's position,
-        # which must stay far below their smallest gap, about 2e-3 ell
-        if e - i > 2 * r and ell > 1e-6 * max(1.0, abs(mid)):
-            theta = (2.0 * np.arange(r) + 1.0) * (0.5 * math.pi / r)
-            targets = mid + ell * np.cos(theta)
-            weights = np.where(np.arange(r) % 2, -1.0, 1.0) * np.sin(theta)
-            bary = x[i:e, None] - targets
-            near = np.argmin(np.abs(bary), axis=1)
-            hit = np.abs(bary[np.arange(e - i), near]) <= _TINY
-            bary[hit] = np.inf
-            np.divide(weights, bary, out=bary)
-            bary[hit, near[hit]] = 1.0
-            bary /= np.sum(bary, axis=1, keepdims=True)
-            cut.append((i, e, targets, bary))
-            half = max(half, ell)
-        else:
-            cut.append((i, e, None, None))
-        i = e
-    coef = 2.0 * _CRAMER * half ** r / (2.0 ** (1.5 * r) * math.sqrt(math.factorial(r)))
-    return cut, coef
+    ell = 0.5 * (x[-1] - x[0])
+    centre = x[0] + ell  # 0.5 (x[0] + x[-1]) would overflow near the largest float
+    # the targets carry the rounding eps |centre| of the cell's position,
+    # which must stay far below their smallest gap, about 4e-3 ell
+    if len(x) <= 2 * r or ell <= 1e-6 * max(1.0, abs(centre)):
+        return centre, None, None, 0.0
+    theta = (2.0 * np.arange(r) + 1.0) * (0.5 * math.pi / r)
+    targets = centre - ell * np.cos(theta)
+    weights = np.where(np.arange(r) % 2, -1.0, 1.0) * np.sin(theta)
+    near = np.minimum(np.searchsorted(targets, x), r - 1)
+    hit = targets[near] == x
+    bary = x[:, None] - targets
+    bary[hit] = np.inf
+    np.divide(weights, bary, out=bary)
+    bary[hit, near[hit]] = 1.0
+    bary /= np.sum(bary, axis=1, keepdims=True)
+    coef = 2.0 * _CRAMER * ell ** r / (2.0 ** (1.5 * r) * math.sqrt(math.factorial(r)))
+    return centre, targets, bary, coef
 
 
-def _gauss_sum(x, z, c, w, cut, interp):
-    """sum_j c_j e^{-(x_i - z_j)^2/4} over the nodes z_j within w of x_i's cell.
+def _window_sum(y, z, c):
+    """sum_j c_j e^{-(y_i - z_j)^2/4} over all j, at each y_i.
 
-    x and z ascending; cut is the first item of _cells(x).  Each cell
-    [lo, hi] takes the contiguous nodes in [lo - w, hi + w].  With interp,
-    set when the caller's bound coef * sum_j |c_j| fits its share, a cell
-    with targets is summed at its _TARGETS targets and its bary matrix
-    carries the sums to its points; other cells are summed at their points.
+    Blocks of at most max(_BLOCK, len(y)) points x nodes bound the memory.
     """
-    out = np.zeros_like(x)
-    for i, e, targets, bary in cut:
-        lo, hi = np.searchsorted(z, (x[i] - w, x[e - 1] + w))
-        if interp and bary is not None:
-            at_targets = _window_sum(targets, z[lo:hi], c[lo:hi], np.zeros(len(targets)))
-            out[i:e] = bary @ at_targets
-            continue
-        for j in range(i, e, _BLOCK):
-            k = min(j + _BLOCK, e)
-            _window_sum(x[j:k], z[lo:hi], c[lo:hi], out[j:k])
-    return out
-
-
-def _window_sum(y, z, c, out):
-    """Add sum_j c_j e^{-(y_i - z_j)^2/4} over all j to out and return it.
-
-    Blocks of at most _BLOCK points x nodes bound the memory.
-    """
-    step = _BLOCK // len(y)
+    out = np.zeros_like(y)
+    step = max(1, _BLOCK // len(y))
     for k in range(0, len(z), step):
-        d = y[:, None] - z[None, k:k + step]
+        d = y[:, None] - z[k:k + step]
         d *= d
         d *= -0.25
         out += np.exp(d, out=d) @ c[k:k + step]

@@ -421,6 +421,28 @@ class TestCurvatureHeatGap:
                 snap.values[mask] - evolve_on_grid(u, xs[mask], t))))
             assert abs(gap - full) <= 2.0 * math.sqrt(t) * DEFAULT_SPEC.abs_tol
 
+    def test_datum_is_evaluated_once_per_node(self, monkeypatch):
+        # 801 nodes in the march's setup and 401 + 401 in its even check;
+        # the gap takes the centre node from the march, not from a second check
+        u = make_gaussian(1.0)
+        sizes = []
+
+        def ev(x):
+            sizes.append(int(np.size(x)))
+            return u.eval(x)
+
+        refs = []
+
+        def no_heat(u0, xs, t, spec):
+            refs.append(xs)
+            return np.zeros(len(xs))
+
+        monkeypatch.setattr(curvature_flow, "evolve_on_grid", no_heat)
+        cfg = _cfg(half_width=80.0, dx=0.2, t_final=1.0, record_times=(1.0,))
+        curvature_heat_gap(dataclasses.replace(u, eval=ev), cfg)
+        assert sum(sizes) == 1_603
+        assert len(refs) == 1 and np.all(refs[0] >= 0.0)
+
     def test_buffer_must_leave_interior(self):
         u = make_smooth_log_sine(1.0)
         cfg = _cfg(half_width=4.0, t_final=1.0, record_times=(1.0,))

@@ -24,11 +24,14 @@ from mildheat.kernels import (
 )
 from mildheat.profile_bounds import envelope_bound
 from mildheat.semigroup import (
+    _BLOCK,
     GridFunction,
+    _cell,
     _cells,
     _halfline_plan,
     _one_sided,
     _refined_halfline_segment,
+    _window_sum,
     evolve,
     evolve_on_grid,
     rescaled_residual,
@@ -240,14 +243,16 @@ class TestLargeTimes:
 
 
 def _quadpack_far(u, x, t):
-    """u(sqrt(t) x, t) at a point x >= 100 by QUADPACK over [x - 40, x + 40]:
-    the Gaussian holds below e^{-400} of its mass outside."""
+    """u(sqrt(t) x, t) at a point |x| >= 100 by QUADPACK over z = x + y,
+    |y| <= 40: the Gaussian holds below e^{-400} of its mass outside.  The
+    Gaussian is taken in the offset y, so it keeps its digits however far x
+    lies."""
     st = math.sqrt(t)
 
-    def g(z):
-        return math.exp(-0.25 * (x - z) ** 2) * float(u.eval(st * z))
+    def g(y):
+        return math.exp(-0.25 * y * y) * float(u.eval(st * (x + y)))
 
-    val = integrate.quad(g, x - 40.0, x + 40.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    val = integrate.quad(g, -40.0, 40.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
     return val / (2.0 * math.sqrt(math.pi))
 
 
@@ -271,9 +276,19 @@ class TestFarPoints:
 
     @pytest.mark.parametrize("datum_id", ["sub_log:0.5", "log_sine", "smooth_log_sine:1"])
     @pytest.mark.parametrize("x", [1e5, 1e6])
-    def test_beyond_the_cap_raises_at_once(self, datum_id, x):
-        # the far segment would need more than _PANEL_CAP panels: it raises
-        # before it reads the datum, after only the short segments near 0
+    def test_beyond_the_old_cap_matches_quadpack(self, datum_id, x):
+        # a point integrates only its own window, so a far point costs no
+        # more than a near one
+        u = from_id(datum_id)
+        want = _quadpack_far(u, x, 1.0)
+        assert abs(scaled_evolve(u, x, 1.0) - want) <= 2 * DEFAULT_SPEC.abs_tol
+
+    @pytest.mark.parametrize("datum_id", ["sub_log:0.5", "log_sine", "smooth_log_sine:1"])
+    @pytest.mark.parametrize("x", [1e21, 1e300, -1e308])
+    def test_beyond_1e20_raises_at_once(self, datum_id, x):
+        # rounded outward, the window spans at least two ulps of x, and its
+        # first certificate would need more than _PANEL_CAP panels: it
+        # raises before it reads the datum
         u = from_id(datum_id)
         sizes = []
 
@@ -283,7 +298,41 @@ class TestFarPoints:
 
         with pytest.raises(UncertifiedQuadrature, match="first certificate"):
             scaled_evolve(dataclasses.replace(u, eval=ev), x, 1.0)
-        assert sum(sizes) < 10_000
+        assert not sizes
+
+    @pytest.mark.parametrize("abs_tol", [1e-10, 1e-13])
+    def test_far_step_is_one(self, abs_tol):
+        # uncentred nodes lose the Gaussian's digits to the rounding of z,
+        # and unwidened windows to the rounding of x -+ w
+        xs = np.logspace(3.0, 20.0, 24)
+        got = scaled_evolve_many(make_step(0.0, 1.0), xs, 1.0, QuadratureSpec(abs_tol=abs_tol))
+        assert np.max(np.abs(got - 1.0)) <= 2 * abs_tol
+
+    @pytest.mark.parametrize("x", [2e3, 5e3, 1e4])
+    def test_near_and_far_point_together(self, x):
+        # each cell integrates its own window, so the near point's Gaussian
+        # no longer sets the panel width out to the far point
+        xs = np.array([0.0, x])
+        tol = 2 * DEFAULT_SPEC.abs_tol
+        got = scaled_evolve_many(make_step(0.0, 1.0), xs, 1.0)
+        assert np.max(np.abs(got - 0.5 * erfc(-0.5 * xs))) <= tol
+        got = scaled_evolve_many(make_gaussian(1.0), xs, 1.0)
+        assert np.max(np.abs(got - _gaussian_scaled(xs, 1.0))) <= tol
+        u = make_sub_log(0.5)
+        got = scaled_evolve_many(u, xs, 1.0)
+        assert abs(got[0] - _quadpack_scaled(u, 0.0, 1.0)) <= tol
+        assert abs(got[1] - _quadpack_far(u, x, 1.0)) <= tol
+
+    def test_wide_physical_grid_at_small_time(self):
+        # similarity points up to 4e3 apart, at 6 grid points
+        u = make_log_sine()
+        t = 1e-4
+        xs = np.linspace(-40.0, 40.0, 801)
+        got = evolve_on_grid(u, xs, t)
+        for k in (0, 277, 396, 400, 403, 657):
+            x = xs[k] / math.sqrt(t)
+            want = _quadpack_far(u, x, t) if abs(x) >= 100.0 else _quadpack_scaled(u, x, t)
+            assert abs(got[k] - want) <= 2 * DEFAULT_SPEC.abs_tol, xs[k]
 
 
 class TestChargedWindow:
@@ -369,8 +418,7 @@ class TestOneSidedLimits:
         xs = np.linspace(-4.0, 4.0, 41)
         with pytest.raises(UncertifiedQuadrature, match="512 panels"):
             _refined_halfline_segment(
-                make_sub_log(0.5), xs, _cells(xs), 1e4, 1.0, "lin", 0.0, 1.0,
-                1e-10, 14.0,
+                make_sub_log(0.5), xs, _cell(xs), 1e4, 1.0, "lin", 0.0, 1.0, 1e-10
             )
 
 
@@ -390,10 +438,11 @@ class TestCompressedCells:
 
     def test_points_on_the_targets(self):
         # a cell spanning [0.5, 6.5] whose grid holds each of its targets
-        grid = np.linspace(0.5, 6.5, 81)
-        (_, _, targets, _), = _cells(grid)[0]
+        grid = np.linspace(0.5, 6.5, 121)
+        assert _cells(grid) == [(0, len(grid))]
+        targets = _cell(grid)[1]
         xs = np.sort(np.concatenate([grid, targets]))
-        (_, _, same, _), = _cells(xs)[0]
+        same = _cell(xs)[1]
         assert np.array_equal(same, targets) and np.all(np.isin(targets, xs))
         for t in (0.5, 3.0):
             got = scaled_evolve_many(make_gaussian(1.0), xs, t)
@@ -404,8 +453,8 @@ class TestCompressedCells:
 
     def test_dense_cell_next_to_sparse_cell(self):
         xs = np.concatenate([np.linspace(-3.0, 3.0, 301), np.linspace(5.0, 11.0, 7)])
-        cut, _ = _cells(xs)
-        assert [bary is None for *_, bary in cut] == [False, True]
+        cells = [_cell(xs[i:e]) for i, e in _cells(xs)]
+        assert [bary is None for _, _, bary, _ in cells] == [False, True]
         shuffled = np.random.default_rng(5).permutation(xs)
         for t in (1e-2, 2.0, 1e6):
             got = scaled_evolve_many(make_gaussian(1.0), shuffled, t)
@@ -437,12 +486,12 @@ class TestCompressedCells:
 
     @pytest.mark.parametrize("targets", [8, 12, 16])
     def test_interpolation_bound_holds(self, monkeypatch, targets):
-        # below 36 targets the interpolation error stands above rounding,
+        # below 48 targets the interpolation error stands above rounding,
         # so the Cramer bound coef * sum |c_j| can be seen to hold
         monkeypatch.setattr(semigroup, "_TARGETS", targets)
         xs = np.linspace(-3.5, 3.5, 2 * targets + 1)
-        cut, coef = _cells(xs)
-        (_, _, tg, bary), = cut
+        assert _cells(xs) == [(0, len(xs))]
+        _, tg, bary, coef = _cell(xs)
         rng = np.random.default_rng(targets)
         for _ in range(20):
             z = np.sort(rng.uniform(-20.0, 20.0, 50))
@@ -453,6 +502,15 @@ class TestCompressedCells:
 
             err = np.max(np.abs(bary @ f(tg) - f(xs)))
             assert err <= coef * np.sum(np.abs(c))
+
+    def test_window_sum_beyond_one_block(self):
+        # more points than _BLOCK: each block holds a single node
+        rng = np.random.default_rng(3)
+        y = rng.uniform(-5.0, 5.0, _BLOCK + 7)
+        z = rng.uniform(-8.0, 8.0, 40)
+        c = rng.standard_normal(40)
+        want = np.exp(-0.25 * (y[:, None] - z) ** 2) @ c
+        assert np.max(np.abs(_window_sum(y, z, c) - want)) <= 1e-13
 
 
 class TestEvolve:
