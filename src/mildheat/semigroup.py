@@ -22,9 +22,9 @@ takes an array of points, cuts them into cells, integrates each cell over
 its own window, the points' span widened by the Gaussian window
 (:func:`~mildheat.kernels.gauss_window`, derived from abs_tol and charged to
 it), and refines composite Simpson by doubling until the Richardson estimate
-certifies its share of spec.abs_tol at the cell's points.  It raises
-:class:`~mildheat.kernels.UncertifiedQuadrature` when a segment reaches its
-node cap uncertified.  :func:`scaled_evolve`, :func:`evolve` and
+certifies its share of spec.abs_tol at the cell's points or targets.  It
+raises :class:`~mildheat.kernels.UncertifiedQuadrature` when a segment
+reaches its node cap uncertified.  :func:`scaled_evolve`, :func:`evolve` and
 :func:`evolve_on_grid` are the same computation at one point or at physical
 coordinates.
 
@@ -32,19 +32,23 @@ Integrating only where a cell's Gaussians reach is the locality of Greengard
 & Strain's fast Gauss transform: a point far from the rest costs no more
 than a near one.  Each cell's Gaussian is taken in coordinates centred on
 it, so a far cell loses no digits, and its window's ends are rounded
-outward; a point certifies out to about 1e20, and beyond it the window,
-at least two ulps wide, needs more than the node cap and raises before any
-evaluation.  For a fixed node set a level's Gaussian sum is an entire
-function of x, so the cells are at most _CELL = 10 units wide
-(:func:`_cells`), as in the transform's local expansions.  A cell of more
-than 2 _TARGETS points is summed at its _TARGETS = 48 first-kind Chebyshev
-targets and interpolated to its points by a barycentric matrix built when
-the cell is integrated (:func:`_cell`); other cells are summed at their
-points.  Cramer's inequality for Hermite functions bounds the interpolation
-error by coef * sum_j |c_j| (4.6e-19 sum_j |c_j| on a full cell); a level
-whose bound exceeds _INTERP_PART of its segment's share is summed at the
-points instead, and the bound is charged to the Richardson certificate, so
-refinement levels and node counts are those of the direct sum.
+outward; a point certifies out to about 1e20, and beyond it the window, at
+least two ulps wide, needs more than the node cap, or at the largest float
+rounds out to infinity, and raises before any evaluation.  For a fixed node
+set a Gaussian sum is an entire function of x, so the cells are at most
+_CELL = 10 units wide (:func:`_cells`), as in the transform's local
+expansions.  A cell of more than 2 _TARGETS points may be summed at its
+_TARGETS = 48 first-kind Chebyshev targets and interpolated to its points by
+a barycentric matrix built when the cell is integrated (:func:`_cell`);
+Cramer's inequality for Hermite functions bounds the interpolation error by
+coef * sum_j |c_j| (4.6e-19 sum_j |c_j| on a full cell).  The cell decides
+once, before its first level, with a bound fixed in advance: a segment
+[p, q]'s Richardson value weighs its nodes positively, with weights summing
+to q - p, and a log segment lies at z <= 1, so that value interpolates to
+within coef sup|u0| (q - p) at every level.  When that fits _INTERP_PART of
+every segment's share, each segment is certified at the targets to its share
+less that bound, and the cell's sum over all segments is interpolated once;
+otherwise every segment is summed at the cell's points.
 """
 
 from __future__ import annotations
@@ -76,8 +80,8 @@ _BLOCK = 1 << 14
 _FIRST_PANELS, _PANEL_CAP = 256, 1 << 17
 # the heat engine cuts its sorted points into cells spanning at most _CELL
 # similarity units; a cell of more than 2 _TARGETS points is summed at
-# _TARGETS Chebyshev targets and interpolated, while a level's interpolation
-# bound fits _INTERP_PART of the segment's share
+# _TARGETS Chebyshev targets and interpolated when its advance interpolation
+# bound fits _INTERP_PART of every segment's share
 _CELL, _TARGETS, _INTERP_PART = 10.0, 48, 1.0 / 64.0
 # Cramer's constant, rounded up: |H_n(v)| e^{-v^2/2} <= k 2^{n/2} sqrt(n!)
 _CRAMER = 1.0865
@@ -188,9 +192,15 @@ def scaled_evolve_many(
     budget.  The points are sorted and cut into cells (_cells), and each
     cell x[i:e] integrates its own window [x_i - w, x_{e-1} + w] alone, with
     both ends rounded outward so that no point's window is narrowed by
-    rounding.  On each side the part of the window at z >= 0 is split by
-    _halfline_plan at scale sqrt(t), and each segment is certified to its
-    share of the rest at the cell's points by _refined_halfline_segment.
+    rounding; a window whose rounded end is infinite raises
+    UncertifiedQuadrature before any evaluation.  On each side the part of
+    the window at z >= 0 is split by _halfline_plan at scale sqrt(t), and
+    each segment [p, q] is certified to its share of the rest by
+    _refined_halfline_segment.  A dense cell (_cell) whose advance bound
+    coef sup|u0| (q - p) fits _INTERP_PART of every segment's share sums all
+    its segments at its targets, each to its share less that bound, and
+    interpolates their sum once with bary; every other cell sums at its
+    points.
     """
     _positive("t", t)
     xs = np.asarray(xs, dtype=float)
@@ -204,72 +214,67 @@ def scaled_evolve_many(
     side_tol = (1.0 - _TAIL_PART) * spec.abs_tol * SQRT_PI
     acc = np.zeros_like(x)
     for i, e in _cells(x):
-        cell = _cell(x[i:e])
-        lo = float(np.nextafter(x[i] - w, -np.inf))
-        hi = float(np.nextafter(x[e - 1] + w, np.inf))
+        lo = math.nextafter(x[i] - w, -math.inf)
+        hi = math.nextafter(x[e - 1] + w, math.inf)
+        if math.isinf(lo) or math.isinf(hi):
+            raise UncertifiedQuadrature(f"{u0.id}: window [{lo!r}, {hi!r}] is not finite, so its "
+                                        "first certificate would need infinitely many panels")
         # the side z < 0 meets the window at z in [-hi, -lo]
-        for sign, a, b in ((-1.0, -hi, -lo), (1.0, lo, hi)):
-            if b <= 0.0:
-                continue
-            plan = _halfline_plan(u0, max(0.0, a), b, st, side_tol, u0.sup_norm)
-            for (kind, p, q), tol in plan:
-                acc[i:e] += _refined_halfline_segment(
-                    u0, x[i:e], cell, st, sign, kind, p, q, tol)
+        segments = [
+            (sign, *segment, tol)
+            for sign, a, b in ((-1.0, -hi, -lo), (1.0, lo, hi)) if b > 0.0
+            for segment, tol in _halfline_plan(u0, max(0.0, a), b, st, side_tol, u0.sup_norm)
+        ]
+        centre, y, bary, coef = _cell(x[i:e])
+        # a segment's value interpolated from the targets is off by at most
+        # coef sup|u0| (q - p) (_refined_halfline_segment), fixed in advance
+        charge = coef * u0.sup_norm
+        if bary is None or any(charge * (q - p) > _INTERP_PART * tol
+                               for _, _, p, q, tol in segments):
+            y, bary, charge = x[i:e], None, 0.0
+        y = y - centre
+        v = sum(_refined_halfline_segment(u0, y, centre, st, sign, kind, p, q,
+                                          tol - charge * (q - p))
+                for sign, kind, p, q, tol in segments)
+        acc[i:e] = v if bary is None else bary @ v
     out = np.empty_like(acc)
     out[order] = acc / (2.0 * SQRT_PI)
     return out
 
 
-def _refined_halfline_segment(u0, x, cell, st, sign, kind, a, b, tol):
-    """Certified int_a^b e^{-(x - sign z)^2/4} u0(sign st z) dz at ascending x.
+def _refined_halfline_segment(u0, y, centre, st, sign, kind, a, b, tol):
+    """Certified int_a^b e^{-(y - (sign z - centre))^2/4} u0(sign st z) dz at y.
 
-    x is one cell's points and cell is _cell(x).  kind "log" integrates in
-    s = log z over [a, b] instead.  Composite Simpson doubles its panel
-    count n, each level built from the trapezoid sum T and the midpoint sum
-    M of the level before: S_2m = (T_m + 2 M_m)/3 and T_2m = (T_m + M_m)/2,
-    so a level evaluates the datum and the Gaussian only at its new
-    midpoints.  The first T has _FIRST_PANELS/2 panels, or, on a "lin"
-    segment, enough that its nodes lie at most h0 = 2 pi / sqrt(log(1/tol))
-    apart: at spacing h the trapezoid sum of e^{-(x - z)^2/4} misses about
-    2 e^{-4 pi^2/h^2} of its mass, so no level steps over a far point's
-    Gaussian and certifies a sum that never saw it.
+    y holds evaluation points in coordinates centred on centre.  kind "log"
+    integrates in s = log z over [a, b] instead.  Composite Simpson doubles
+    its panel count n, each level built from the trapezoid sum T and the
+    midpoint sum M of the level before: S_2m = (T_m + 2 M_m)/3 and
+    T_2m = (T_m + M_m)/2, so a level evaluates the datum and the Gaussian
+    only at its new midpoints.  The first T has _FIRST_PANELS/2 panels, or,
+    on a "lin" segment, enough that its nodes lie at most
+    h0 = 2 pi / sqrt(log(1/tol)) apart: at spacing h the trapezoid sum of
+    e^{-(x - z)^2/4} misses about 2 e^{-4 pi^2/h^2} of its mass, so no level
+    steps over a far point's Gaussian and certifies a sum that never saw it.
 
-    The Gaussian is taken in coordinates centred on the cell, where a node z
-    lies at sign z - centre: a "lin" node is placed by its offset from a,
-    and sign a - centre is rounded once for every node, so a far cell's
-    Gaussian distances keep their digits.  A level's Gaussian sum is
-    interpolated from the cell's targets when its bound eps fits
-    _INTERP_PART of tol, and is summed at the points otherwise.  T, M and S
-    inherit the largest eps of the levels they are built from, which moves
-    the Richardson estimate by at most 2 eps/15 and the returned value by
-    17 eps/15.  Returns S_n + (S_n - S_{n/2})/15 once
-    max |S_n - S_{n/2}| + 19 eps <= 15 tol (the Richardson certificate with
-    the interpolation charged).  No level holds more than _PANEL_CAP
+    A node z lies at sign z - centre: a "lin" node is placed by its offset
+    from a, and sign a - centre is rounded once for every node, so a far
+    cell's Gaussian distances keep their digits.  Returns
+    R = S_n + (S_n - S_{n/2})/15 once max |S_n - S_{n/2}| <= 15 tol (the
+    Richardson certificate).  R weighs the nodes by h/45 (14, 64, 24, 64, 14)
+    on each run of 4 panels: positive weights that sum to b - a, so R is a
+    Gaussian sum whose weights' magnitudes sum to at most sup|u0| (b - a)
+    (a "log" segment lies at z <= 1).  No level holds more than _PANEL_CAP
     panels: UncertifiedQuadrature is raised before any evaluation if the
     first certificate would need more, and when the next level would
     exceed the cap with the certificate unmet.
     """
-    centre, targets, bary, coef = cell
-    start = sign * a - centre
-    eps = 0.0
-
     def node_sum(off, weight):
         # the nodes lie at offsets off from a, in s = log z for "log"
-        nonlocal eps
-        if kind == "log":
-            z = np.exp(a + off)
-            y = sign * z - centre
-        else:
-            z = a + off
-            y = start + sign * off
+        z = np.exp(a + off) if kind == "log" else a + off
         q = np.asarray(_one_sided(u0, sign, st * z), dtype=float) * weight
         if kind == "log":
-            q *= z
-        bound = coef * float(np.sum(np.abs(q)))
-        if bary is not None and bound <= _INTERP_PART * tol:
-            eps = max(eps, bound)
-            return bary @ _window_sum(targets - centre, y, q)
-        return _window_sum(x - centre, y, q)
+            return _window_sum(y, sign * z - centre, q * z)
+        return _window_sum(y, sign * a - centre + sign * off, q)
 
     m = _FIRST_PANELS // 2
     if kind == "lin" and tol < 1.0:
@@ -291,7 +296,7 @@ def _refined_halfline_segment(u0, x, cell, st, sign, kind, a, b, tol):
         if prev is not None:
             delta = s - prev
             err = float(np.max(np.abs(delta)))
-            if err + 19.0 * eps <= 15.0 * tol:
+            if err <= 15.0 * tol:
                 return s + delta / 15.0
             if 2 * n > _PANEL_CAP:
                 raise UncertifiedQuadrature(

@@ -504,10 +504,11 @@ class TestFlowProfileError:
     ids=["flow_profile_error", "curvature_heat_gap"],
 )
 def test_buffer_is_checked_before_marching(monkeypatch, call):
+    # solve_cf and curvature_heat_gap both march through _march
     def no_march(*args):
-        raise AssertionError("solve_cf was called")
+        raise AssertionError("_march was called")
 
-    monkeypatch.setattr(curvature_flow, "solve_cf", no_march)
+    monkeypatch.setattr(curvature_flow, "_march", no_march)
     with pytest.raises(ValueError, match="buffer"):
         call(make_smooth_log_sine(0.5))
 

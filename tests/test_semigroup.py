@@ -284,11 +284,13 @@ class TestFarPoints:
         assert abs(scaled_evolve(u, x, 1.0) - want) <= 2 * DEFAULT_SPEC.abs_tol
 
     @pytest.mark.parametrize("datum_id", ["sub_log:0.5", "log_sine", "smooth_log_sine:1"])
-    @pytest.mark.parametrize("x", [1e21, 1e300, -1e308])
+    @pytest.mark.parametrize(
+        "x", [1e21, 1e300, -1e308, 1.7976931348623157e308, -1.7976931348623157e308])
     def test_beyond_1e20_raises_at_once(self, datum_id, x):
         # rounded outward, the window spans at least two ulps of x, and its
-        # first certificate would need more than _PANEL_CAP panels: it
-        # raises before it reads the datum
+        # first certificate would need more than _PANEL_CAP panels; at the
+        # largest float an end rounds out to infinity.  Either way it raises
+        # before it reads the datum, and without a warning
         u = from_id(datum_id)
         sizes = []
 
@@ -413,12 +415,13 @@ class TestOneSidedLimits:
         assert (1 << 17) + 1 not in sizes
 
     def test_node_cap_raises(self, monkeypatch):
-        # sub_log at t = 1e8 needs far more than 512 panels next to its kink
+        # sub_log at t = 1e8 needs far more than 512 panels next to its kink;
+        # the points, centred on 0, are summed directly
         monkeypatch.setattr(semigroup, "_PANEL_CAP", 512)
         xs = np.linspace(-4.0, 4.0, 41)
         with pytest.raises(UncertifiedQuadrature, match="512 panels"):
             _refined_halfline_segment(
-                make_sub_log(0.5), xs, _cell(xs), 1e4, 1.0, "lin", 0.0, 1.0, 1e-10
+                make_sub_log(0.5), xs, 0.0, 1e4, 1.0, "lin", 0.0, 1.0, 1e-10
             )
 
 
@@ -428,7 +431,7 @@ def _gaussian_scaled(xs, t, s=1.0):
 
 
 class TestCompressedCells:
-    # dense cells are summed at Chebyshev targets and interpolated; every
+    # dense cells are summed at Chebyshev targets and interpolated once; every
     # check is against a closed form, never against the engine itself
 
     def test_coincident_points(self):
@@ -474,8 +477,8 @@ class TestCompressedCells:
                 assert np.max(np.abs(got - _gaussian_scaled(xs, t))) <= 2 * abs_tol
 
     def test_few_targets_fall_back_to_the_points(self, monkeypatch):
-        # 8 targets over 7 units interpolate far above any share, so the
-        # bound sends every level to the direct sum
+        # 8 targets over 8 units interpolate far above any share, so the
+        # advance bound sends the whole cell to the direct sum
         monkeypatch.setattr(semigroup, "_TARGETS", 8)
         xs = np.linspace(-4.0, 4.0, 401)
         for t in (1e-2, 2.0):
@@ -484,10 +487,37 @@ class TestCompressedCells:
         got = scaled_evolve_many(make_step(0.0, 1.0), xs, 2.0)
         assert np.max(np.abs(got - profile_F(xs))) <= 2e-10
 
+    def test_bound_that_does_not_fit_sums_at_the_points(self, monkeypatch):
+        # the grid is one dense cell, summed at its 48 targets; once the
+        # advance bound coef sup|u0| (q - p) exceeds _INTERP_PART of a
+        # segment's share, every segment of the cell is summed at its points
+        xs = np.linspace(-4.0, 4.0, 401)
+        sizes = []
+        segment = semigroup._refined_halfline_segment
+
+        def recorded(u0, y, *args):
+            sizes.append(len(y))
+            return segment(u0, y, *args)
+
+        monkeypatch.setattr(semigroup, "_refined_halfline_segment", recorded)
+        scaled_evolve_many(make_gaussian(1.0), xs, 2.0)
+        assert sizes and set(sizes) == {48}
+        sizes.clear()
+        monkeypatch.setattr(semigroup, "_INTERP_PART", 1e-30)
+        tol = 2 * DEFAULT_SPEC.abs_tol
+        for t in (1e-2, 2.0, 1e6):
+            got = scaled_evolve_many(make_gaussian(1.0), xs, t)
+            assert np.max(np.abs(got - _gaussian_scaled(xs, t))) <= tol
+            got = scaled_evolve_many(make_step(0.0, 1.0), xs, t)
+            assert np.max(np.abs(got - profile_F(xs))) <= tol
+        assert sizes and set(sizes) == {len(xs)}
+
     @pytest.mark.parametrize("targets", [8, 12, 16])
     def test_interpolation_bound_holds(self, monkeypatch, targets):
         # below 48 targets the interpolation error stands above rounding,
-        # so the Cramer bound coef * sum |c_j| can be seen to hold
+        # so the Cramer bound coef * sum |c_j| can be seen to hold; the
+        # engine charges coef sup|u0| (q - p), which is at least this for
+        # the Richardson value of a segment [p, q]
         monkeypatch.setattr(semigroup, "_TARGETS", targets)
         xs = np.linspace(-3.5, 3.5, 2 * targets + 1)
         assert _cells(xs) == [(0, len(xs))]
