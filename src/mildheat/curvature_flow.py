@@ -414,6 +414,40 @@ def curvature_heat_gap(
     return out
 
 
+def _spline(xs: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The not-a-knot cubic spline through v on the uniform grid xs, at x.
+
+    Its second derivatives m satisfy m_{i-1} + 4 m_i + m_{i+1} = d_i =
+    6 (v_{i-1} - 2 v_i + v_{i+1}) / h^2 at the inner nodes.  On a uniform
+    grid not-a-knot is m_0 - 2 m_1 + m_2 = 0 at each end (de Boor, A
+    Practical Guide to Splines, 1978, ch. IV), which turns the first and last
+    rows into 6 m_1 = d_1 and 6 m_{n-2} = d_{n-2}.  The k = n - 4 (1, 4, 1)
+    rows between them are diagonal in the type-I sine basis, with eigenvalues
+    4 + 2 cos(pi j / (k + 1)) (Strang, SIAM Review 41, 1999), and each
+    transform is one real FFT of the odd extension.  3 nodes give the
+    parabola and 4 the single cubic.  Each point x uses its own interval's
+    width, and points outside xs continue the end pieces.
+    """
+    n = len(xs)
+    h = (xs[-1] - xs[0]) / (n - 1)
+    d = (v[:-2] - 2.0 * v[1:-1] + v[2:]) * (6.0 / (h * h))
+    m = np.empty(n)
+    m[1:-1] = d / 6.0
+    if n > 4:
+        k = n - 4
+        b = d[1:-1].copy()  # rows 2..n-3, with the known m_1 and m_{n-2} moved over
+        b[0] -= m[1]
+        b[-1] -= m[-2]
+        sine = lambda y: np.fft.rfft(np.concatenate(([0.0], y, [0.0], -y[::-1]))).imag[1:-1]
+        lam = 4.0 + 2.0 * np.cos(np.pi / (k + 1) * np.arange(1, k + 1))
+        m[2:-2] = sine(sine(b) / lam) / (2.0 * (k + 1))
+    m[0], m[-1] = (2.0 * m[1] - m[2], 2.0 * m[-2] - m[-3]) if n > 3 else (m[1], m[1])
+    i = np.clip(np.searchsorted(xs, x, "right") - 1, 0, n - 2)
+    w = xs[i + 1] - xs[i]
+    p, q = (x - xs[i]) / w, (xs[i + 1] - x) / w
+    return q * v[i] + p * v[i + 1] + w * w / 6.0 * (m[i] * (q**3 - q) + m[i + 1] * (p**3 - p))
+
+
 def flow_profile_error(
     u0: InitialDatum,
     cfg: FDSolverConfig,
@@ -423,9 +457,9 @@ def flow_profile_error(
 ) -> list[tuple[float, float]]:
     """Similarity profile error of the curvature flow along a time ladder.
 
-    For each t the FD solution is resampled by cubic interpolation onto the
-    similarity grid sqrt(t) * [-L, L] and compared against the two-sided
-    profile; returns (t, sup_error) pairs.
+    For each t the FD solution is resampled by its not-a-knot cubic spline
+    (_spline) onto the similarity grid sqrt(t) * [-L, L] and compared
+    against the two-sided profile; returns (t, sup_error) pairs.
     """
     _positive("L", L)
     if u0.decay_class is not DecayClass.DECAYS_AT_INFINITY:
@@ -441,17 +475,13 @@ def flow_profile_error(
                 f"similarity window sqrt({t:g})*{L:g} reaches into the "
                 f"boundary buffer; enlarge half_width"
             )
-    # imported here: scipy.interpolate is the slowest import of the package,
-    # and no other caller needs it
-    from scipy.interpolate import CubicSpline
-
     snaps = solve_cf(u0, run_cfg)
     xs = run_cfg.nodes()
     zs = np.linspace(-L, L, n)
     out = []
     for t, snap in zip(ladder, snaps):
         st = math.sqrt(t)
-        vals = CubicSpline(xs, snap.values)(st * zs)
+        vals = _spline(xs, snap.values, st * zs)
         prof = two_sided_profile(u0, zs, t)
         out.append((t, float(np.max(np.abs(vals - prof)))))
     return out

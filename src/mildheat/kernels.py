@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SQRT_PI = math.sqrt(math.pi)
-# math.erf over arrays: importing scipy.special would double the start-up time
+# math.erf over arrays: scipy is not a runtime dependency
 _ERF = np.frompyfunc(math.erf, 1, 1)
 # the part of a budget a dropped tail takes (Gaussian mass past a window, an
 # s-tail): widening a cut by log 16 costs fewer nodes than shrinking shares
@@ -191,10 +191,13 @@ def kernel_G(z: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
         y = np.exp(s)
         return np.exp(-0.25 * (z - y) ** 2) * (-s) * y
 
-    val = adaptive_simpson(lower, s_cut, 0.0, tol - drop[0])
-    val += adaptive_simpson(
-        lambda y: np.exp(-0.25 * (z - y) ** 2) * np.log(y), lo, upper, tol - drop[1]
-    )
+    # far left of the origin (z below about -1.3e154) (z - y)^2 overflows to
+    # inf, and the weight e^{-inf} = 0 it gives is the exact limit
+    with np.errstate(over="ignore"):
+        val = adaptive_simpson(lower, s_cut, 0.0, tol - drop[0])
+        val += adaptive_simpson(
+            lambda y: np.exp(-0.25 * (z - y) ** 2) * np.log(y), lo, upper, tol - drop[1]
+        )
     return val / (2.0 * SQRT_PI)
 
 

@@ -126,9 +126,12 @@ def dilation_difference_bound(
     """
     _positive("alpha", alpha)
     _positive("|s|", abs(s))  # the estimate is undefined at s = 0
+    # the annulus and the factor must be finite and the annulus off 0 before
+    # the datum is read; s alpha lies in the annulus
+    r_lo = _positive("min(alpha, 1/alpha) |s|", min(alpha, 1.0 / alpha) * abs(s))
+    r_hi = _positive("max(alpha, 1/alpha) |s|", max(alpha, 1.0 / alpha) * abs(s))
+    _finite("(alpha + 1/alpha)^2", (alpha + 1.0 / alpha) * (alpha + 1.0 / alpha))
     lhs = abs(float(u0.eval(s * alpha)) - float(u0.eval(s)))
-    r_lo = min(alpha, 1.0 / alpha) * abs(s)
-    r_hi = max(alpha, 1.0 / alpha) * abs(s)
     radii = np.geomspace(r_lo, r_hi, samples)
     sup = 0.0
     for sign in (-1.0, 1.0):

@@ -399,15 +399,29 @@ def sliding_average(
     """Window average (1/(2R)) int_{-R}^{R} u0(x + y) dy.
 
     Probes the stabilization criterion along a ladder of window widths; the
-    package only reports finite-R trends, never the limit itself.
+    package only reports finite-R trends, never the limit itself.  The ends
+    x -+ R are rounded to floats; the mass that moves, at most sup|u0| times
+    the shift, is charged to abs_tol before the quadrature gets the rest, and
+    UncertifiedQuadrature is raised, before any evaluation, when it takes all
+    of abs_tol.
     """
     _positive("R", R)
     _finite("x", x)
-    lo, hi = x - R, x + R
+    lo, hi = _finite("x - R", x - R), _finite("x + R", x + R)
+    _finite("2 R", 2.0 * R)
+    # each rounding error is a float, so fsum gives it exactly
+    shift = abs(math.fsum((x, -R, -lo))) + abs(math.fsum((x, R, -hi)))
+    charge = u0.sup_norm * shift / (2.0 * R)
+    if charge >= spec.abs_tol:
+        raise UncertifiedQuadrature(
+            f"{u0.id}: rounding the window ends of x = {x!r} -+ R = {R!r} moves them by "
+            f"{shift:.3g} in all, which may move the average by {charge:.3g} >= abs_tol "
+            f"{spec.abs_tol:.3g}"
+        )
     # the parts of the window on each side of 0, as distances from it
     sides = [(sign, a, b) for sign, a, b in
              ((-1.0, max(0.0, -hi), -lo), (1.0, max(0.0, lo), hi)) if a < b]
-    tol = spec.abs_tol * 2.0 * R / len(sides)
+    tol = (spec.abs_tol - charge) * 2.0 * R / max(1, len(sides))
     val = sum(
         _halfline_integral(u0, partial(_one_sided, u0, sign), a, b, 1.0, tol,
                            u0.sup_norm)

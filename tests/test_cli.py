@@ -1,8 +1,11 @@
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import mildheat
 from mildheat import experiments
 from mildheat.cli import main
 from mildheat.initial_data import catalog
@@ -204,3 +207,20 @@ class TestRunAll:
     def test_missing_directory(self, capsys):
         assert main(["run-all", "/no/such/dir"]) == 2
         assert "config-error" in capsys.readouterr().out
+
+    def test_default_configs_run_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: with scipy unimportable the
+        # default configs still write their 27 files
+        configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+        script = ("import sys; sys.modules['scipy'] = None\n"
+                  "from mildheat import cli\n"
+                  "sys.exit(cli.main(sys.argv[1:]))")
+        src = os.path.dirname(os.path.dirname(mildheat.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "run-all", configs, "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert sum(len(files) for _, _, files in os.walk(tmp_path)) == 27

@@ -486,8 +486,33 @@ class TestFlowProfileError:
         for (t, err), snap in zip(errs, snaps):
             prof = np.array([two_sided_profile(u, float(z), t) for z in zs])
             assert np.array_equal(two_sided_profile(u, zs, t), prof)
+            # the library resamples with its own spline, scipy's is the reference
             vals = CubicSpline(cfg.nodes(), snap.values)(math.sqrt(t) * zs)
-            assert err == float(np.max(np.abs(vals - prof)))
+            assert abs(err - float(np.max(np.abs(vals - prof)))) <= 1e-13
+
+    @pytest.mark.parametrize("L", [4.0, 90.0])
+    def test_three_node_grid_resamples_like_cubic_spline(self, L):
+        # nodes -100, 0, 100: the not-a-knot spline is the parabola; at L = 4
+        # the sup error sits at the node 0, at L = 90 between the nodes
+        u = make_smooth_log_sine(0.5)
+        cfg = FDSolverConfig(100.0, 100.0, 1.0, (1.0,))
+        zs = np.linspace(-L, L, 401)
+        [(t, err)] = flow_profile_error(u, cfg, L, (1.0,))
+        [snap] = solve_cf(u, cfg)
+        vals = CubicSpline(cfg.nodes(), snap.values)(zs)
+        assert abs(err - float(np.max(np.abs(vals - two_sided_profile(u, zs, t))))) <= 1e-12
+
+
+class TestSpline:
+    @pytest.mark.parametrize("n", [*range(3, 40), 801, 1201, 2401, 4801, 8001])
+    def test_matches_cubic_spline(self, n):
+        rng = np.random.default_rng(n)
+        for lo, hi in ((-1.0, 1.0), (-40.0, 40.0), (0.3, 7.1)):
+            xs = np.linspace(lo, hi, n)
+            v = rng.standard_normal(n)
+            x = np.concatenate((xs, [lo, hi], rng.uniform(lo, hi, 500)))
+            got = curvature_flow._spline(xs, v, x)
+            assert np.max(np.abs(got - CubicSpline(xs, v)(x))) <= 1e-12 * np.max(np.abs(v))
 
 
 @pytest.mark.parametrize(

@@ -163,6 +163,14 @@ class TestRun:
         assert result.reason.startswith("config-error")
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("alphas, s_values", [((1e10,), (1e300,)), ((1e-320,), (1.0,))])
+    def test_dilation_bound_that_overflows_is_a_config_error(self, tmp_path, alphas, s_values):
+        cfg = _config("dilation-bound", "log_sine", tmp_path, alphas=alphas, s_values=s_values)
+        result = run(cfg)
+        assert result.exit_code == 2
+        assert result.reason.startswith("config-error")
+        assert not os.listdir(tmp_path)
+
     def test_dilation_bound_passes(self, tmp_path):
         result = run(_config("dilation-bound", "log_sine", tmp_path))
         assert result.exit_code == 0

@@ -3,6 +3,7 @@ before it reads the datum or starts a quadrature or march."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,3 +139,38 @@ def test_rescaled_time_must_stay_a_finite_float():
 def test_elementwise_maps_pass_nan_through(call):
     out = call(np.array([math.nan, 0.0]))
     assert math.isnan(out[0]) and math.isfinite(out[1])
+
+
+@pytest.mark.parametrize(
+    "alpha, s, name",
+    [
+        (1e10, 1e300, "max(alpha, 1/alpha) |s|"),
+        (1e-320, 1.0, "max(alpha, 1/alpha) |s|"),
+        (1e300, 1e-300, "min(alpha, 1/alpha) |s|"),
+        (1e160, 1.0, "(alpha + 1/alpha)^2"),
+    ],
+)
+def test_dilation_annulus_and_factor_must_be_finite(alpha, s, name):
+    # alpha and s are each usable, but the annulus or the factor overflows
+    # or the annulus underflows to 0
+    with pytest.raises(ValueError, match=re.escape(name) + " must be"):
+        dilation_difference_bound(U, alpha, s)
+
+
+@pytest.mark.parametrize(
+    "x, R, name",
+    [(1e308, 1e308, "x + R"), (-1e308, 1e308, "x - R"), (0.0, 1e308, "2 R")],
+)
+def test_sliding_window_must_be_finite(x, R, name):
+    with pytest.raises(ValueError, match=re.escape(name) + " must be finite"):
+        sliding_average(U, x, R)
+
+
+@pytest.mark.parametrize("oracle, arg", [(oracles.kernel_G_trapezoid, 0.0),
+                                         (oracles.profile_F_trapezoid, 0.0),
+                                         (oracles.heat_kernel_mass_trapezoid, 1.0)])
+def test_oracle_end_weights_need_five_panels(oracle, arg):
+    # the end weights of both ends would overlap on fewer panels
+    with pytest.raises(ValueError, match="panels must be at least 5, got 4"):
+        oracle(arg, panels=4)
+    assert math.isfinite(oracle(arg, panels=5))

@@ -279,6 +279,12 @@ class TestKernelG:
         # E log(z + sqrt(2) N) = log z - 1/z^2 + O(z^-4)
         assert abs(got - (math.log(z) - 1.0 / z ** 2)) <= 1e-10
 
+    @pytest.mark.parametrize("z", [-1.4e154, -1e200, -1.7976931348623157e308])
+    def test_far_left_is_zero_without_overflow(self, z):
+        # (z - y)^2 overflows to inf there; the pytest setting turns its
+        # RuntimeWarning into a failure
+        assert kernel_G(z) == 0.0
+
     def test_tail_cut_above_tolerance_raises(self):
         # the s-tail below -40 may hold 41 e^-40 ~ 1.7e-16, above this share
         with pytest.raises(UncertifiedQuadrature, match="s-tail"):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -616,6 +617,56 @@ class TestSlidingAverage:
         for R in (0.5, 3.0, 100.0):
             want = math.sqrt(math.pi) * erf(0.5 * R) / R
             assert abs(sliding_average(u, 0.0, R) - want) <= tol
+
+
+def _unread(x):
+    raise AssertionError("the datum was read")
+
+
+class TestSlidingAverageRoundedWindow:
+    @staticmethod
+    def _step_average(x, R):
+        # step:0,1 averaged over [x - R, x + R] in exact arithmetic
+        x, R = Fraction(x), Fraction(R)
+        return float(min(max((x + R) / (2 * R), Fraction(0)), Fraction(1)))
+
+    @pytest.mark.parametrize(
+        "x, R", [(2.5, 10.0), (-7.0, 3.25), (1e3, 0.3), (1e6, 3.0), (-1e12, 1e12 + 0.5),
+                 (0.0, 8e307)],
+    )
+    def test_matches_exact_step_average(self, x, R):
+        got = sliding_average(make_step(0.0, 1.0), x, R)
+        assert abs(got - self._step_average(x, R)) <= DEFAULT_SPEC.abs_tol
+
+    @pytest.mark.parametrize(
+        "x, R", [(1e16, 3.0), (4.5e15, 0.7), (1e16, 1.0), (1e20, 1.0), (1e6, 0.3)],
+    )
+    def test_rounded_ends_that_move_the_average_raise(self, x, R):
+        # x -+ R round to ends that move the exact average by more than
+        # abs_tol (at x = 1e16, R = 1 both ends round onto x); nothing is read
+        u = dataclasses.replace(make_step(0.0, 1.0), eval=_unread)
+        with pytest.raises(UncertifiedQuadrature, match="rounding the window ends"):
+            sliding_average(u, x, R)
+
+    def test_window_rounded_to_a_point_below_abs_tol(self):
+        # both ends round onto x = 1e16; a datum below abs_tol can move the
+        # average by less than abs_tol, so the empty window returns 0
+        assert sliding_average(make_constant(1e-12), 1e16, 1.0) == 0.0
+
+    def test_returns_within_abs_tol_or_raises(self):
+        rng = np.random.default_rng(5)
+        u = make_step(0.0, 1.0)
+        returned = 0
+        for _ in range(200):
+            x = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 17))
+            R = float(10.0 ** rng.uniform(-3, 17))
+            try:
+                got = sliding_average(u, x, R)
+            except UncertifiedQuadrature:
+                continue
+            returned += 1
+            assert abs(got - self._step_average(x, R)) <= DEFAULT_SPEC.abs_tol, (x, R)
+        assert returned > 100
 
 
 class TestEnvelopeBoundClosedForms:
