@@ -4,7 +4,12 @@ kernel, and the shifted-Gaussian envelope, all with certified quadrature.
 The scalar integrals of the package go through :func:`adaptive_simpson`:
 local bisection with a Richardson error estimate, swept one level at a time
 over integrands that map arrays of nodes to arrays of values, so evaluation
-error is bounded by an explicit absolute tolerance.  The heat evolutions of
+error is bounded by an explicit absolute tolerance.  Each level keeps its
+open panels in one state array (x and f at both ends, the midpoint and the
+two quarter points), carries each half's Simpson value over as the next
+level's coarse value, and forms midpoints as 0.5 x0 + 0.5 x1, which cannot
+overflow; so a level costs a fixed, small number of numpy calls, whatever
+the number of panels.  The heat evolutions of
 :mod:`mildheat.semigroup` refine composite Simpson uniformly under the same
 certificate.  A quadrature that exhausts its budget before the estimate
 meets the tolerance raises :class:`UncertifiedQuadrature` rather than return
@@ -87,7 +92,12 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     its Richardson-corrected value S2 + (S2 - S1)/15, once k >= _MIN_LEVEL
     and |S2 - S1| <= 15 tol/2^k; otherwise both halves go on to level k + 1.
     The sweep runs one level at a time and calls f once per level on every
-    new node, the nodes a depth-first recursion would visit.  Raises
+    new node, the nodes a depth-first recursion would visit.  Each level
+    holds its open panels in one array of shape (2, 5, n): x and f at x0,
+    lm, x1, rm, x2, where the quarter points lm and rm are written in place.
+    A half's Simpson value is the next level's S1 for that panel, so it is
+    carried over, not recomputed.  Every midpoint is 0.5 x0 + 0.5 x1, which
+    cannot overflow and equals 0.5 (x0 + x1) for normal floats.  Raises
     UncertifiedQuadrature instead of returning an uncertified value.
     """
     if a == b:
@@ -96,36 +106,45 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
         return -adaptive_simpson(f, b, a, tol)
     x = np.array([a, b], dtype=float)
     for _ in range(_MIN_LEVEL + 1):
-        x = np.insert(x, range(1, len(x)), 0.5 * (x[:-1] + x[1:]))
-    fx = np.asarray(f(x), dtype=float)
-    # rows: left end, midpoint and right end of each open panel
-    X = np.stack((x[:-1:2], x[1::2], x[2::2]))
-    F = np.stack((fx[:-1:2], fx[1::2], fx[2::2]))
+        y = np.empty(2 * len(x) - 1)
+        y[::2], y[1::2] = x, 0.5 * x[:-1] + 0.5 * x[1:]
+        x = y
+    V = np.stack((x, np.asarray(f(x), dtype=float)))
+    S = np.empty((2, 5, len(x) // 2))
+    S[:, 0], S[:, 2], S[:, 4] = V[:, :-1:2], V[:, 1::2], V[:, 2::2]
+    X, F = S
+    whole = (X[4] - X[0]) / 6.0 * (F[0] + 4.0 * F[2] + F[4])
     share = tol / 2.0 ** _MIN_LEVEL
     total = 0.0
     for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
-        whole = (X[2] - X[0]) / 6.0 * (F[0] + 4.0 * F[1] + F[2])
-        q = 0.5 * (X[:-1] + X[1:])
-        fq = np.asarray(f(q.ravel()), dtype=float).reshape(q.shape)
-        left, right = (X[1:] - X[:-1]) / 6.0 * (F[:-1] + 4.0 * fq + F[1:])
-        delta = left + right - whole
+        X, F = S
+        half = 0.5 * X[::2]
+        np.add(half[:-1], half[1:], out=X[1::2])
+        F[1::2] = fq = np.asarray(f(X[1::2].ravel()), dtype=float).reshape(2, -1)
+        # rows: the left and the right half of each panel
+        halves = (X[2::2] - X[:-2:2]) / 6.0 * (F[:-2:2] + 4.0 * fq + F[2::2])
+        both = halves[0] + halves[1]
+        delta = both - whole
         done = np.abs(delta) <= 15.0 * share
-        total += float(np.sum(left[done] + right[done] + delta[done] / 15.0))
-        rest = ~done
-        if not rest.any():
+        total += float(np.sum(both[done] + delta[done] / 15.0))
+        n_open = len(done) - np.count_nonzero(done)
+        if n_open == 0:
             return total
-        if level == _MAX_LEVEL or 2 * np.count_nonzero(rest) > _MAX_PANELS:
+        rest = ~done
+        if level == _MAX_LEVEL or 2 * n_open > _MAX_PANELS:
             i = int(np.argmax(rest))
             raise UncertifiedQuadrature(
                 f"adaptive Simpson stopped at level {level} with "
-                f"{np.count_nonzero(rest)} open panels; on [{X[0, i]!r}, "
-                f"{X[2, i]!r}] the estimate {abs(delta[i]) / 15.0:.3g} is "
+                f"{n_open} open panels; on [{X[0, i]!r}, "
+                f"{X[4, i]!r}] the estimate {abs(delta[i]) / 15.0:.3g} is "
                 f"above the share {share:.3g}"
             )
-        # the halves (x0, lm, x1) and (x1, rm, x2) of each open panel go on
-        X = np.insert(X, [1, 2], q, axis=0)[:, rest]
-        F = np.insert(F, [1, 2], fq, axis=0)[:, rest]
-        X, F = (np.hstack((P[:3], P[2:])) for P in (X, F))
+        # the halves (x0, lm, x1) and (x1, rm, x2) of each open panel go on,
+        # all left halves first, each with its Simpson value as S1
+        P = S[:, :, rest]
+        S = np.empty((2, 5, 2 * n_open))
+        S[:, ::2, :n_open], S[:, ::2, n_open:] = P[:, :3], P[:, 2:]
+        whole = halves[:, rest].ravel()
         share *= 0.5
 
 
@@ -167,14 +186,17 @@ def kernel_G(z: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     on (0, 1], which turns that piece into int_{-inf}^0 e^{-(z-e^s)^2/4} (-s) e^s ds
     with a uniformly smooth integrand, cut at s = -40; the piece on [1, inf)
     is cut to [max(1, z - w), max(1, z) + w], w = gauss_window(abs_tol, 1),
-    so its panels stay on the kernel's scale at any z.  Each piece charges a
-    bound on the mass it drops to its share of the tolerance and gives
-    Simpson the rest; UncertifiedQuadrature is raised if a bound takes it all.
+    and integrated in v = y - c, c = max(1, z), so its panels stay on the
+    kernel's scale and keep their digits at any z (in y, ulp(z) reaches w
+    near z = 1e16).  Each piece charges a bound on the mass it drops to its
+    share of the tolerance and gives Simpson the rest; UncertifiedQuadrature
+    is raised if a bound takes it all.
     """
     _finite("z", z)
     tol = spec.abs_tol * SQRT_PI  # split the budget over the two pieces
     w = gauss_window(spec.abs_tol, 1.0)
-    s_cut, lo, upper = -40.0, max(1.0, z - w), max(1.0, z) + w
+    s_cut, c = -40.0, max(1.0, z)
+    d, lo, upper = z - c, max(1.0, z - w), c + w
     # dropped below s_cut: at most int_{-inf}^{s_cut} |s| e^s ds; above upper,
     # where log y <= log(upper) + (y - upper), at most
     # log(upper) sqrt(pi) erfc(w/2) + int_w^inf v e^{-v^2/4} dv; on [1, lo],
@@ -192,12 +214,12 @@ def kernel_G(z: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
         return np.exp(-0.25 * (z - y) ** 2) * (-s) * y
 
     # far left of the origin (z below about -1.3e154) (z - y)^2 overflows to
-    # inf, and the weight e^{-inf} = 0 it gives is the exact limit
+    # inf, and the weight e^{-inf} = 0 it gives is the exact limit; y = c + v
+    # with c >= 1, where log(z + v) would reach log 0 far left
     with np.errstate(over="ignore"):
         val = adaptive_simpson(lower, s_cut, 0.0, tol - drop[0])
-        val += adaptive_simpson(
-            lambda y: np.exp(-0.25 * (z - y) ** 2) * np.log(y), lo, upper, tol - drop[1]
-        )
+        val += adaptive_simpson(lambda v: np.exp(-0.25 * (d - v) ** 2) * np.log(c + v),
+                                max(1.0 - c, d - w), w, tol - drop[1])
     return val / (2.0 * SQRT_PI)
 
 

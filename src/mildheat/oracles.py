@@ -30,8 +30,10 @@ def kernel_G_trapezoid(z: float, panels: int = 100_000) -> float:
     """(1/(2 sqrt(pi))) int_0^inf e^{-(z-y)^2/4} |log y| dy by dense trapezoid.
 
     Same split as the production evaluator (y = e^s below 1, direct above) but
-    summed with fixed uniform panels.  With 10^5 panels it is within 1.2e-15
-    of QUADPACK at the 20 points of acceptance criterion 02.
+    summed with fixed uniform panels, in absolute y on [1, max(1, z) + 14]: a
+    reference only for moderate |z|, since at large z the panels outgrow the
+    kernel's width and ulp(z) eats its digits.  With 10^5 panels it is within
+    1.2e-15 of QUADPACK at the 20 points of acceptance criterion 02.
     """
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")

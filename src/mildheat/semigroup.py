@@ -166,10 +166,13 @@ def _halfline_integral(u0: InitialDatum, g, a, b, scale, tol, bound):
     g maps arrays to arrays and reads u0 at scale * z; bound dominates |g|
     near 0.
     """
+    def on_log(s):
+        y = np.exp(s)
+        return g(y) * y
+
     total = 0.0
     for (kind, lo, hi), share in _halfline_plan(u0, a, b, scale, tol, bound):
-        f = g if kind == "lin" else (lambda s: g(np.exp(s)) * np.exp(s))
-        total += adaptive_simpson(f, lo, hi, share)
+        total += adaptive_simpson(g if kind == "lin" else on_log, lo, hi, share)
     return total
 
 

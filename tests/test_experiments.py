@@ -171,6 +171,14 @@ class TestRun:
         assert result.reason.startswith("config-error")
         assert not os.listdir(tmp_path)
 
+    def test_log_kernel_bound_far_right_passes(self, tmp_path):
+        # G(1e18) is about log(1e18) = 41.4, not 0: the bound holds there
+        cfg = _config("log-kernel-bound", "sub_log:0.5", tmp_path,
+                      x_values=(1e16, 1e18), t_ladder=(1.0,))
+        result = run(cfg)
+        assert result.exit_code == 0
+        assert len(os.listdir(tmp_path)) == 2
+
     def test_dilation_bound_passes(self, tmp_path):
         result = run(_config("dilation-bound", "log_sine", tmp_path))
         assert result.exit_code == 0

@@ -26,7 +26,16 @@ from mildheat.oracles import kernel_G_trapezoid
 
 def _recursive_simpson(f, a, b, tol, max_depth=48, min_depth=6):
     """Depth-first adaptive Simpson on a scalar f: the reference for the level
-    sweep, which must visit the same nodes and accept the same panels."""
+    sweep, which must visit the same nodes and accept the same panels.
+
+    Returns the value and every node visited, as (x, k): k is the level of
+    the panel whose quarter point x is, and -1 for the first three nodes.
+    """
+    visits = []
+
+    def at(x, level):
+        visits.append((x, level))
+        return f(x)
 
     def simpson(fa, fm, fb, width):
         return width / 6.0 * (fa + 4.0 * fm + fb)
@@ -34,7 +43,7 @@ def _recursive_simpson(f, a, b, tol, max_depth=48, min_depth=6):
     def adapt(a, b, fa, fm, fb, whole, tol, depth, force):
         m = 0.5 * (a + b)
         lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
+        flm, frm = at(lm, max_depth - depth), at(rm, max_depth - depth)
         left, right = simpson(fa, flm, fm, m - a), simpson(fm, frm, fb, b - m)
         delta = left + right - whole
         if abs(delta) <= 15.0 * tol and force <= 0:
@@ -44,8 +53,30 @@ def _recursive_simpson(f, a, b, tol, max_depth=48, min_depth=6):
         return (adapt(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1, force - 1)
                 + adapt(m, b, fm, frm, fb, right, 0.5 * tol, depth - 1, force - 1))
 
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    return adapt(a, b, fa, fm, fb, simpson(fa, fm, fb, b - a), tol, max_depth, min_depth)
+    fa, fm, fb = at(a, -1), at(0.5 * (a + b), -1), at(b, -1)
+    val = adapt(a, b, fa, fm, fb, simpson(fa, fm, fb, b - a), tol, max_depth, min_depth)
+    return val, visits
+
+
+def _sweep_levels_match_recursion(f, a, b, tol):
+    """Run the sweep and the recursion on f; assert that each call of the
+    sweep holds exactly the recursion's nodes of its level, and return the
+    two values and the sizes of the calls."""
+    swept = []
+
+    def array_f(x):
+        swept.append(sorted(x.tolist()))
+        return f(x)
+
+    val = adaptive_simpson(array_f, a, b, tol)
+    ref, visits = _recursive_simpson(lambda x: float(f(np.float64(x))), a, b, tol)
+    # the first call holds every node of the forced levels; call j >= 1 the
+    # quarter points of the open panels of level _MIN_LEVEL + j - 1
+    walked = {}
+    for x, level in visits:
+        walked.setdefault(max(0, level - kernels._MIN_LEVEL + 1), []).append(x)
+    assert swept == [sorted(walked[j]) for j in range(len(walked))]
+    return val, ref, [len(xs) for xs in swept]
 
 
 class TestAdaptiveSimpson:
@@ -57,20 +88,20 @@ class TestAdaptiveSimpson:
         (lambda x: np.exp(-0.25 * (1.5 - np.exp(x)) ** 2) * -x * np.exp(x), -40.0, 0.0),
     ])
     def test_same_nodes_and_value_as_recursion(self, f, a, b):
-        swept, walked = [], []
-
-        def array_f(x):
-            swept.extend(x.tolist())
-            return f(x)
-
-        def scalar_f(x):
-            walked.append(x)
-            return float(f(np.float64(x)))
-
-        val = adaptive_simpson(array_f, a, b, 1e-10)
-        ref = _recursive_simpson(scalar_f, a, b, 1e-10)
-        assert sorted(swept) == sorted(walked)
+        val, ref, _ = _sweep_levels_match_recursion(f, a, b, 1e-10)
         assert val == pytest.approx(ref, rel=1e-14, abs=1e-16)
+
+    def test_deep_sweep_with_mixed_levels_matches_recursion(self):
+        # sqrt is singular at 0: panels there stay open for many levels while
+        # the rest are accepted, so open and accepted panels share levels
+        val, ref, sizes = _sweep_levels_match_recursion(np.sqrt, 0.0, 1.0, 1e-10)
+        assert len(sizes) - 1 >= 8
+        # a level of n quarter points has n/2 panels, and each open one gives
+        # the next level 4 quarter points: 0 < m < 2n means that it accepted
+        # some of its panels and kept others open
+        assert any(0 < m < 2 * n for n, m in zip(sizes[1:], sizes[2:]))
+        assert val == pytest.approx(ref, rel=1e-14, abs=1e-16)
+        assert val == pytest.approx(2.0 / 3.0, abs=1e-10)
 
     def test_cubic_is_exact(self):
         # Simpson integrates cubics exactly on any panel
@@ -84,6 +115,12 @@ class TestAdaptiveSimpson:
     def test_reversed_limits_flip_sign(self):
         fwd = adaptive_simpson(np.sin, 0.0, 2.0, 1e-10)
         assert adaptive_simpson(np.sin, 2.0, 0.0, 1e-10) == -fwd
+
+    @pytest.mark.parametrize("a, b", [(8e307, 1.7e308), (-1.7e308, -8e307)])
+    def test_midpoints_near_the_largest_float(self, a, b):
+        # a + b overflows; 0.5 a + 0.5 b does not (the pytest setting turns
+        # the RuntimeWarning of an overflow into a failure)
+        assert adaptive_simpson(np.ones_like, a, b, 1e-10) == b - a
 
     def test_empty_interval(self):
         assert adaptive_simpson(np.exp, 1.0, 1.0, 1e-10) == 0.0
@@ -265,10 +302,12 @@ class TestKernelG:
         ) / (2.0 * math.sqrt(math.pi))
         assert abs(kernel_G(z, QuadratureSpec(abs_tol=1e-12)) - want) <= 2e-12
 
-    @pytest.mark.parametrize("z", [1e4, 1e8])
+    @pytest.mark.parametrize("z", [1e4, 1e8, 1e10, 1e16, 1e18, 1e20])
     def test_matches_quadpack_and_asymptote_far_right(self, z):
         # with y = z + v, log y = log z + log1p(v/z) keeps every digit at any z;
-        # e^{-v^2/4} holds below e^{-400} of its mass past |v| = 40
+        # e^{-v^2/4} holds below e^{-400} of its mass past |v| = 40.  From
+        # z = 1e16 on, ulp(z) is near the window's half-width: nodes placed
+        # in y would collapse onto a few floats
         def f(v):
             return math.exp(-0.25 * v * v) * math.log1p(v / z)
 
@@ -279,10 +318,11 @@ class TestKernelG:
         # E log(z + sqrt(2) N) = log z - 1/z^2 + O(z^-4)
         assert abs(got - (math.log(z) - 1.0 / z ** 2)) <= 1e-10
 
-    @pytest.mark.parametrize("z", [-1.4e154, -1e200, -1.7976931348623157e308])
+    @pytest.mark.parametrize("z", [-1e18, -1.4e154, -1e200, -1.7976931348623157e308])
     def test_far_left_is_zero_without_overflow(self, z):
-        # (z - y)^2 overflows to inf there; the pytest setting turns its
-        # RuntimeWarning into a failure
+        # (z - y)^2 overflows to inf below -1.3e154, and at -1e18 log(z + v)
+        # would read log 0; the pytest setting turns their RuntimeWarnings
+        # into failures
         assert kernel_G(z) == 0.0
 
     def test_tail_cut_above_tolerance_raises(self):

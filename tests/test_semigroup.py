@@ -632,9 +632,11 @@ class TestSlidingAverageRoundedWindow:
 
     @pytest.mark.parametrize(
         "x, R", [(2.5, 10.0), (-7.0, 3.25), (1e3, 0.3), (1e6, 3.0), (-1e12, 1e12 + 0.5),
-                 (0.0, 8e307)],
+                 (0.0, 8e307), (8e307, 8e307), (-8e307, 8e307)],
     )
     def test_matches_exact_step_average(self, x, R):
+        # at x = +-8e307 the sum of two node coordinates overflows, their
+        # midpoint does not
         got = sliding_average(make_step(0.0, 1.0), x, R)
         assert abs(got - self._step_average(x, R)) <= DEFAULT_SPEC.abs_tol
 
