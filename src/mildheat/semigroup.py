@@ -47,8 +47,20 @@ once, before its first level, with a bound fixed in advance: a segment
 to q - p, and a log segment lies at z <= 1, so that value interpolates to
 within coef sup|u0| (q - p) at every level.  When that fits _INTERP_PART of
 every segment's share, each segment is certified at the targets to its share
-less that bound, and the cell's sum over all segments is interpolated once;
-otherwise every segment is summed at the cell's points.
+less that bound, and the cell's sum over all segments is interpolated once,
+in row blocks of _BLOCK entries (:func:`_barycentric`); otherwise every
+segment is summed at the cell's points.
+
+The same transform's separable exponential sums a level.  Nodes evenly
+spaced dz apart are taken in blocks of B from z_k, and e^{-(y - z_k - l dz)^2/4}
+= e^{-(y - z_k)^2/4} e^{y l dz/2} e^{-(z_k + l dz/2) l dz/2} makes the level
+one matrix product, with m (B + K) + n exponentials for m points, n nodes and
+K blocks instead of m n (:func:`_window_sum`).  B = min(isqrt(n),
+16 / (|dz| max(1, |y|, |z|))) keeps every split factor's exponent below about
+8, so a far window cannot overflow; log nodes, not evenly spaced in z, take
+B = 1, the direct sum.  A segment's first certificate needs its trapezoid
+level and its first two midpoint levels: their 4m + 1 nodes (h/4) k take one
+datum evaluation and one window sum, with one weight column per level.
 """
 
 from __future__ import annotations
@@ -228,18 +240,18 @@ def scaled_evolve_many(
             for sign, a, b in ((-1.0, -hi, -lo), (1.0, lo, hi)) if b > 0.0
             for segment, tol in _halfline_plan(u0, max(0.0, a), b, st, side_tol, u0.sup_norm)
         ]
-        centre, y, bary, coef = _cell(x[i:e])
+        centre, targets, weights, coef = _cell(x[i:e])
         # a segment's value interpolated from the targets is off by at most
         # coef sup|u0| (q - p) (_refined_halfline_segment), fixed in advance
         charge = coef * u0.sup_norm
-        if bary is None or any(charge * (q - p) > _INTERP_PART * tol
-                               for _, _, p, q, tol in segments):
-            y, bary, charge = x[i:e], None, 0.0
-        y = y - centre
+        if weights is None or any(charge * (q - p) > _INTERP_PART * tol
+                                  for _, _, p, q, tol in segments):
+            targets, weights, charge = x[i:e], None, 0.0
+        y = targets - centre
         v = sum(_refined_halfline_segment(u0, y, centre, st, sign, kind, p, q,
                                           tol - charge * (q - p))
                 for sign, kind, p, q, tol in segments)
-        acc[i:e] = v if bary is None else bary @ v
+        acc[i:e] = v if weights is None else _barycentric(x[i:e], targets, weights, v)
     out = np.empty_like(acc)
     out[order] = acc / (2.0 * SQRT_PI)
     return out
@@ -270,14 +282,22 @@ def _refined_halfline_segment(u0, y, centre, st, sign, kind, a, b, tol):
     panels: UncertifiedQuadrature is raised before any evaluation if the
     first certificate would need more, and when the next level would
     exceed the cap with the certificate unmet.
+
+    The first certificate compares S_2m with S_4m, so it needs T_m, M_m and
+    M_2m: nodes h i, h (i + 1/2) and (h/2)(i + 1/2), which are (h/4) k, for
+    k = 0..4m, bit for bit, as h/4 is exact.  They take one datum evaluation
+    and one _window_sum with one weight column per level.  A "lin" level's
+    nodes are evenly spaced, so _window_sum sums them in blocks.
     """
-    def node_sum(off, weight):
-        # the nodes lie at offsets off from a, in s = log z for "log"
+    def node_sum(step, k, weight):
+        # the nodes lie at offsets step k from a, in s = log z for "log";
+        # weight holds one column per level, or is one level's scalar
+        off = step * k
         z = np.exp(a + off) if kind == "log" else a + off
-        q = np.asarray(_one_sided(u0, sign, st * z), dtype=float) * weight
+        q = np.asarray(_one_sided(u0, sign, st * z), dtype=float)[:, None] * weight
         if kind == "log":
-            return _window_sum(y, sign * z - centre, q * z)
-        return _window_sum(y, sign * a - centre + sign * off, q)
+            return _window_sum(y, sign * z - centre, q * z[:, None])
+        return _window_sum(y, sign * a - centre + sign * off, q, sign * step)
 
     m = _FIRST_PANELS // 2
     if kind == "lin" and tol < 1.0:
@@ -288,12 +308,16 @@ def _refined_halfline_segment(u0, y, centre, st, sign, kind, a, b, tol):
             f"{4 * m} panels for its first certificate, above the cap {_PANEL_CAP}"
         )
     h = (b - a) / m
-    ends = np.full(m + 1, h)
-    ends[[0, -1]] *= 0.5
-    trap = node_sum(h * np.arange(m + 1), ends)
+    # the weights of T_m, M_m and M_2m at the nodes (h/4) k
+    levels = np.zeros((4 * m + 1, 3))
+    levels[::4, 0] = h
+    levels[[0, -1], 0] = 0.5 * h
+    levels[2::4, 1] = h
+    levels[1::2, 2] = 0.5 * h
+    trap, *mids = node_sum(0.25 * h, np.arange(4 * m + 1), levels).T
     prev = None
     while True:
-        mid = node_sum(h * (np.arange(m) + 0.5), h)
+        mid = mids.pop(0) if mids else node_sum(h, np.arange(m) + 0.5, h)[:, 0]
         s = (trap + 2.0 * mid) / 3.0
         n = 2 * m
         if prev is not None:
@@ -326,14 +350,13 @@ def _cells(x):
 
 
 def _cell(x):
-    """(centre, targets, bary, coef) of the cell of ascending points x.
+    """(centre, targets, weights, coef) of the cell of ascending points x.
 
     centre is the midpoint of [lo, hi] = [x[0], x[-1]].  A cell of more
     than 2 _TARGETS points and of nonzero span carries the _TARGETS
-    first-kind Chebyshev points of [lo, hi], ascending, as targets, and the
-    matrix bary that maps values at the targets to the barycentric
-    interpolant at x (Berrut & Trefethen 2004, with the weights
-    (-1)^k sin theta_k); a point on a target copies that target.  Other
+    first-kind Chebyshev points of [lo, hi], ascending, as targets, and
+    their barycentric weights (-1)^k sin theta_k (Berrut & Trefethen 2004),
+    from which _barycentric interpolates values at the targets to x.  Other
     cells carry (centre, None, None, 0.0) and are summed at their points.
 
     With r = _TARGETS and half-width l, f(x) = sum_j c_j e^{-(x - z_j)^2/4}
@@ -352,30 +375,94 @@ def _cell(x):
     theta = (2.0 * np.arange(r) + 1.0) * (0.5 * math.pi / r)
     targets = centre - ell * np.cos(theta)
     weights = np.where(np.arange(r) % 2, -1.0, 1.0) * np.sin(theta)
-    near = np.minimum(np.searchsorted(targets, x), r - 1)
-    hit = targets[near] == x
-    bary = x[:, None] - targets
-    bary[hit] = np.inf
-    np.divide(weights, bary, out=bary)
-    bary[hit, near[hit]] = 1.0
-    bary /= np.sum(bary, axis=1, keepdims=True)
     coef = 2.0 * _CRAMER * ell ** r / (2.0 ** (1.5 * r) * math.sqrt(math.factorial(r)))
-    return centre, targets, bary, coef
+    return centre, targets, weights, coef
 
 
-def _window_sum(y, z, c):
+def _barycentric(x, targets, weights, v):
+    """The barycentric interpolant at ascending x of values v at targets.
+
+    The matrix is built and applied in row blocks of at most _BLOCK entries,
+    so its memory does not grow with the points; a point on a target copies
+    that target.
+    """
+    r = len(targets)
+    out = np.empty_like(x)
+    rows = max(1, _BLOCK // r)
+    for i in range(0, len(x), rows):
+        xi = x[i:i + rows]
+        near = np.minimum(np.searchsorted(targets, xi), r - 1)
+        hit = targets[near] == xi
+        bary = xi[:, None] - targets
+        bary[hit] = np.inf
+        np.divide(weights, bary, out=bary)
+        bary[hit, near[hit]] = 1.0
+        bary /= np.sum(bary, axis=1, keepdims=True)
+        out[i:i + rows] = bary @ v
+    return out
+
+
+def _block_size(y, z, dz):
+    """The block size B of _window_sum at points y and nodes z, dz apart.
+
+    B = min(isqrt(n), 16 / (|dz| max(1, |y|, |z|))) keeps the exponent of
+    every split factor below about 8, so none overflows, in a far window
+    either.  B = 1, the direct sum, serves nodes not evenly spaced (dz = 0,
+    as in s = log z) and sums where blocking saves no exponentials.
+    """
+    if not dz:
+        return 1
+    m, n = len(y), len(z)
+    reach = max(1.0, float(np.abs(y).max()), abs(z[0]), abs(z[-1]))
+    b = max(1, int(min(math.isqrt(n), 16.0 / (abs(dz) * reach))))
+    return 1 if m * n <= n + m * (b + -(-n // b)) else b
+
+
+def _window_sum(y, z, c, dz=0.0):
     """sum_j c_j e^{-(y_i - z_j)^2/4} over all j, at each y_i.
 
-    Blocks of at most max(_BLOCK, len(y)) points x nodes bound the memory.
+    c is 1-D, or holds one column of weights per sum.  Nodes evenly spaced
+    dz apart are summed in blocks of B = _block_size nodes from z_k = z[kB],
+    by the separable exponential of Greengard & Strain's fast Gauss transform
+
+        e^{-(y - z_k - l dz)^2/4}
+            = e^{-(y - z_k)^2/4} e^{y l dz/2} e^{-(z_k + l dz/2) l dz/2},
+
+    so each column is one matrix product of the weighted (K, B) blocks with
+    the (B, m) factors e^{y l dz/2}, and m points take m (B + K) + n
+    exponentials instead of m n.  B = 1 is the direct sum.  Chunks of points
+    and nodes keep every temporary but the weighted blocks, which are as
+    large as c, within max(_BLOCK, len(y)) entries.
     """
-    out = np.zeros_like(y)
-    step = max(1, _BLOCK // len(y))
-    for k in range(0, len(z), step):
-        d = y[:, None] - z[k:k + step]
-        d *= d
-        d *= -0.25
-        out += np.exp(d, out=d) @ c[k:k + step]
-    return out
+    m, n = len(y), len(z)
+    b = _block_size(y, z, dz)
+    if b == 1:
+        out = np.zeros((m,) + c.shape[1:])
+        step = max(1, _BLOCK // m)
+        for j in range(0, n, step):
+            d = y[:, None] - z[j:j + step]
+            d *= d
+            d *= -0.25
+            out += np.exp(d, out=d) @ c[j:j + step]
+        return out
+    cols = c.reshape(n, -1).T
+    r, k = len(cols), -(-n // b)
+    ldz = 0.5 * dz * np.arange(b)  # l dz/2
+    zk = z[::b, None]
+    # q[col, k, l] = c_{kB+l} e^{-(z_k + l dz/2) l dz/2}, zero past the last node
+    q = np.zeros((r, k, b))
+    np.multiply(cols, np.exp(-(zk + ldz) * ldz).reshape(-1)[:n], out=q.reshape(r, -1)[:, :n])
+    acc = np.zeros((r, m))
+    rows = max(1, _BLOCK // (b + k * r))
+    span = max(1, _BLOCK // (rows * r))
+    for i in range(0, m, rows):
+        yi = y[i:i + rows]
+        p = np.exp(ldz[:, None] * yi)  # e^{y l dz/2}
+        for j in range(0, k, span):
+            s = (q[:, j:j + span].reshape(-1, b) @ p).reshape(r, -1, len(yi))
+            s *= np.exp(-0.25 * (zk[j:j + span] - yi) ** 2)
+            acc[:, i:i + rows] += s.sum(axis=1)
+    return acc.T.reshape((m,) + c.shape[1:])
 
 
 def evolve(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,8 @@ from mildheat.profile_bounds import envelope_bound
 from mildheat.semigroup import (
     _BLOCK,
     GridFunction,
+    _barycentric,
+    _block_size,
     _cell,
     _cells,
     _halfline_plan,
@@ -458,7 +461,7 @@ class TestCompressedCells:
     def test_dense_cell_next_to_sparse_cell(self):
         xs = np.concatenate([np.linspace(-3.0, 3.0, 301), np.linspace(5.0, 11.0, 7)])
         cells = [_cell(xs[i:e]) for i, e in _cells(xs)]
-        assert [bary is None for _, _, bary, _ in cells] == [False, True]
+        assert [weights is None for _, _, weights, _ in cells] == [False, True]
         shuffled = np.random.default_rng(5).permutation(xs)
         for t in (1e-2, 2.0, 1e6):
             got = scaled_evolve_many(make_gaussian(1.0), shuffled, t)
@@ -522,7 +525,7 @@ class TestCompressedCells:
         monkeypatch.setattr(semigroup, "_TARGETS", targets)
         xs = np.linspace(-3.5, 3.5, 2 * targets + 1)
         assert _cells(xs) == [(0, len(xs))]
-        _, tg, bary, coef = _cell(xs)
+        _, tg, weights, coef = _cell(xs)
         rng = np.random.default_rng(targets)
         for _ in range(20):
             z = np.sort(rng.uniform(-20.0, 20.0, 50))
@@ -531,7 +534,7 @@ class TestCompressedCells:
             def f(y):
                 return np.exp(-0.25 * (y[:, None] - z) ** 2) @ c
 
-            err = np.max(np.abs(bary @ f(tg) - f(xs)))
+            err = np.max(np.abs(_barycentric(xs, tg, weights, f(tg)) - f(xs)))
             assert err <= coef * np.sum(np.abs(c))
 
     def test_window_sum_beyond_one_block(self):
@@ -542,6 +545,158 @@ class TestCompressedCells:
         c = rng.standard_normal(40)
         want = np.exp(-0.25 * (y[:, None] - z) ** 2) @ c
         assert np.max(np.abs(_window_sum(y, z, c) - want)) <= 1e-13
+
+    def test_interpolation_memory_is_bounded(self):
+        # the barycentric matrix is built in row blocks of _BLOCK entries, so
+        # 200,001 points in one dense cell do not hold 200,001 x 48 of it
+        xs = np.linspace(-4.0, 4.0, 200001)
+        assert _cells(xs) == [(0, len(xs))]
+        tracemalloc.start()
+        try:
+            got = scaled_evolve_many(make_gaussian(1.0), xs, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25e6
+        assert np.max(np.abs(got - _gaussian_scaled(xs, 1.0))) <= 2 * DEFAULT_SPEC.abs_tol
+
+
+def _direct_sum(y, z, c):
+    """The direct Gaussian sum in the node blocks of _window_sum at B = 1."""
+    out = np.zeros((len(y),) + c.shape[1:])
+    step = max(1, _BLOCK // len(y))
+    for k in range(0, len(z), step):
+        d = y[:, None] - z[k:k + step]
+        d *= d
+        d *= -0.25
+        out += np.exp(d, out=d) @ c[k:k + step]
+    return out
+
+
+class TestBlockedWindowSum:
+    # evenly spaced nodes are summed in blocks of B; every check is against
+    # the direct formula, to 1e-14 of sum_j |c_j| e^{-(y - z_j)^2/4}
+
+    @staticmethod
+    def _check(y, z, c, dz):
+        gauss = np.exp(-0.25 * (y[:, None] - z) ** 2)
+        scale = gauss @ np.abs(c)
+        assert np.all(np.abs(_window_sum(y, z, c, dz) - gauss @ c) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("m", [1, 3, 48, 200])
+    @pytest.mark.parametrize("n", [1, 2, 129, 513, 4097])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_matches_the_direct_sum(self, m, n, sign, cols):
+        rng = np.random.default_rng([m, n, int(sign > 0), bool(cols)])
+        dz = sign * 24.0 / max(n - 1, 1)
+        z = rng.uniform(-5.0, 5.0) + dz * np.arange(n)
+        y = rng.uniform(min(z[0], z[-1]) - 3.0, max(z[0], z[-1]) + 3.0, m)
+        c = rng.standard_normal(n if cols is None else (n, cols))
+        self._check(y, z, c, dz)
+
+    def test_blocks_are_used(self):
+        # a cell's 48 targets against a first certificate of 513 nodes
+        y = np.linspace(-4.0, 4.0, 48)
+        z = 16.0 / 512 * np.arange(513)
+        assert _block_size(y, z, z[1]) == math.isqrt(513)
+        assert _block_size(y, z, 0.0) == 1
+        assert _block_size(y[:1], z, z[1]) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dz", [1.3, 0.05])
+    def test_far_window_shrinks_the_blocks(self, dz):
+        # a window ulp-wide at x = 1e18 spans about +-128 around the cell;
+        # at B = isqrt(n) the factor e^{y l dz/2} would overflow at dz = 1.3
+        rng = np.random.default_rng(11)
+        z = -128.0 + dz * np.arange(int(256.0 / dz) + 1)
+        y = rng.uniform(-128.0, 128.0, 200)
+        c = rng.standard_normal((len(z), 3))
+        b = _block_size(y, z, dz)
+        assert b < math.isqrt(len(z)) and (b - 1) * dz * 128.0 <= 16.0
+        self._check(y, z, c, dz)
+
+    def test_more_targets_than_one_chunk(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        z = -12.0 + 0.01 * np.arange(2401)
+        y = rng.uniform(-15.0, 15.0, 3000)
+        c = rng.standard_normal((len(z), 3))
+        b = _block_size(y, z, 0.01)
+        assert 3000 * (b + 3 * -(-len(z) // b)) > _BLOCK
+        self._check(y, z, c, 0.01)
+        # chunks of both points and blocks
+        monkeypatch.setattr(semigroup, "_BLOCK", 50)
+        self._check(y[:40], z, c, 0.01)
+
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_one_node_per_block_is_the_direct_sum(self, cols):
+        rng = np.random.default_rng(9)
+        y = rng.uniform(-6.0, 6.0, 300)
+        z = np.sort(rng.uniform(-9.0, 9.0, 700))
+        c = rng.standard_normal(700 if cols is None else (700, cols))
+        assert np.array_equal(_window_sum(y, z, c), _direct_sum(y, z, c))
+        # a single point saves no exponentials by blocking
+        even = np.linspace(-9.0, 9.0, 700)
+        assert np.array_equal(_window_sum(y[:1], even, c, even[1] - even[0]),
+                              _direct_sum(y[:1], even, c))
+
+
+def _recording(u):
+    """u, and the list of arrays its eval is called on."""
+    evals = []
+
+    def ev(x):
+        evals.append(np.array(x, dtype=float, copy=True))
+        return u.eval(x)
+
+    return dataclasses.replace(u, eval=ev), evals
+
+
+class TestFirstCertificate:
+    # a segment evaluates the trapezoid level and the first two midpoint
+    # levels, the nodes of its first certificate, in one datum call
+
+    @pytest.mark.parametrize("kind, a, b", [("lin", 0.0, 12.0), ("lin", 1.0, 7.5),
+                                            ("lin", 0.0, 400.0), ("log", -20.0, 0.0)])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_first_evaluation_is_the_first_three_levels(self, kind, a, b, sign):
+        u, evals = _recording(make_sub_log(0.5))
+        st = 3.0
+        _refined_halfline_segment(u, np.linspace(-4.0, 4.0, 48), 0.5, st, sign,
+                                  kind, a, b, 1e-10)
+        m = (len(evals[0]) - 1) // 4
+        assert len(evals[0]) == 4 * m + 1 and m >= semigroup._FIRST_PANELS // 2
+        h = (b - a) / m
+        offsets = [h * np.arange(m + 1), h * (np.arange(m) + 0.5),
+                   0.5 * h * (np.arange(2 * m) + 0.5)]
+        z = np.concatenate([np.exp(a + off) if kind == "log" else a + off
+                            for off in offsets])
+        want = sign * np.where(st * z == 0, semigroup._TINY, st * z)
+        assert np.array_equal(np.sort(evals[0]), np.sort(want))
+
+    def test_later_levels_hold_the_same_points(self, monkeypatch):
+        # the first three levels (m + 1, m, 2m points) are one evaluation of
+        # 4m + 1, and each later level still doubles: 4m, 8m, ...
+        segment = semigroup._refined_halfline_segment
+        per_segment = []
+
+        def recorded(*args):
+            per_segment.append(len(evals))
+            return segment(*args)
+
+        monkeypatch.setattr(semigroup, "_refined_halfline_segment", recorded)
+        xs = np.linspace(-4.0, 4.0, 401)
+        for datum in ("step:-1.5,2", "log_sine", "sub_log:0.5", "gaussian:1"):
+            u, evals = _recording(from_id(datum))
+            for t in (1e-4, 1.0, 1e8):
+                for abs_tol in (1e-10, 1e-13):
+                    per_segment.clear()
+                    evals.clear()
+                    scaled_evolve_many(u, xs, t, QuadratureSpec(abs_tol=abs_tol))
+                    for i, e in zip(per_segment, per_segment[1:] + [len(evals)]):
+                        sizes = [len(x) for x in evals[i:e]]
+                        m = (sizes[0] - 1) // 4
+                        assert sizes == [4 * m + 1] + [4 * m << j for j in range(len(sizes) - 1)]
 
 
 class TestEvolve:
