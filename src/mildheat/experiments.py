@@ -1,13 +1,15 @@
 """Declarative experiment runner: flat key=value configs in, CSV tables,
 SVG line charts, and a summary manifest out.
 
-Each experiment kind has a fixed CSV schema and a kind-specific pass/fail
-assertion; everything is deterministic (no RNG anywhere). A kind's handler
-takes the datum and one keyword parameter per config key it reads, whose
-default is the key's default; a config may set no other key. The handler
-only computes: `run` alone writes the output files, after the handler has
-returned, so a run that fails writes no file. Every file is written
-atomically, so concurrent runs never interleave partial files.
+Each experiment kind is declared by its handler alone: the handler takes
+the datum and one keyword parameter per config key it reads, whose default
+is the key's default (a config may set no other key), and returns its
+pass/fail verdict, its scalars, its chart and its CSV tables, each table's
+header in the same return statement as the rows whose columns it names.
+Everything is deterministic (no RNG anywhere). The handler only computes:
+`run` alone writes the output files, after the handler has returned, so a
+run that fails writes no file. Every file is written atomically, so
+concurrent runs never interleave partial files.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import numbers
 import os
 import secrets
 from dataclasses import dataclass, field
@@ -25,24 +28,11 @@ from . import curvature_flow, initial_data, profile_bounds, semigroup
 from .curvature_flow import FDSolverConfig, SolverFailure
 from .kernels import QuadratureSpec, UncertifiedQuadrature
 
-# keyed by kind, or by kind + "-" + name for a kind's extra table "_name"
-CSV_HEADERS = {
-    "exact-step": "t,x,numeric,closed_form,abs_diff",
-    "profile-error": "t,L,sup_error,coeff_left,coeff_right",
-    "log-kernel-bound": "x,t,lhs,rhs,margin",
-    "envelope-bound": "t,a,b,measured_error,bound,margin",
-    "dilation-bound": "alpha,s,lhs,rhs",
-    "rescaled-check": "h,residual",
-    "curvature-gap": "t,gap",
-    "flow-profile-error": "t,sup_error",
-    "accumulation": "lambda,u_left,u_right",
-    "accumulation-fit": "t,alpha_fit,beta_fit",
-    "sliding-average": "R,average,delta_prev",
-}
-
 # keys whose values must be positive (s_values: nonzero), and ladders that must increase
 _POSITIVE = ("L", "t_ladder", "lambda_ladder", "R_ladder", "h_ladder", "alphas")
 _INCREASING = ("t_ladder", "lambda_ladder", "R_ladder")
+# what a value needs, by the type of its default; a bool is not a number
+_NEEDS = {tuple: "a tuple of real numbers", int: "an int", float: "a real number"}
 
 
 class ConfigError(ValueError):
@@ -73,7 +63,12 @@ class ExperimentConfig:
         for key, val in self.params.items():
             if key not in reads:
                 raise ConfigError(f"{self.kind} does not read key {key!r}")
+            default = reads[key]
             vals = val if isinstance(val, tuple) else (val,)
+            want = numbers.Integral if isinstance(default, int) else numbers.Real
+            if (isinstance(val, tuple) != isinstance(default, tuple)
+                    or not all(isinstance(v, want) and not isinstance(v, bool) for v in vals)):
+                raise ConfigError(f"{key} must be {_NEEDS[type(default)]}, got {val!r}")
             if not vals:
                 raise ConfigError(f"{key} must not be empty")
             if not all(math.isfinite(v) for v in vals):
@@ -211,11 +206,13 @@ def run(cfg: ExperimentConfig) -> RunResult:
     quadrature that could not certify its tolerance).
 
     The handler of cfg.kind, called on the datum and cfg.params, returns
-    (ok, scalars, tables, chart): tables maps a file-name suffix to CSV
-    rows, and chart is None or the (series, logx, logy) of `_svg`. Only
-    then are files written: each table as <kind>_<datum><suffix>.csv, the
-    chart as .svg, then the summary manifest as _summary.json. A run that
-    exits 2 or 3 writes nothing."""
+    (ok, scalars, tables, chart): tables maps a file-name suffix to the
+    (header, rows) of a CSV table, and chart is None or the (series, logx,
+    logy) of `_svg`. Only then are files written: each table as
+    <kind>_<datum><suffix>.csv, the chart as .svg, then the summary manifest
+    as _summary.json. A run that exits 2 or 3 leaves no file: an output that
+    cannot be written is exit 2, and the files this run wrote before it are
+    deleted."""
     try:
         u0 = initial_data.from_id(cfg.datum_id)
         ok, scalars, tables, chart = _HANDLERS[cfg.kind](u0, **cfg.params)
@@ -230,16 +227,19 @@ def run(cfg: ExperimentConfig) -> RunResult:
         "scalars": scalars,
     }
     base = os.path.join(cfg.out_dir, f"{cfg.kind}_{_slug(cfg.datum_id)}")
-    texts = {}
-    for suffix, rows in tables.items():
-        header = CSV_HEADERS[cfg.kind + suffix.replace("_", "-")]
-        texts[base + suffix + ".csv"] = _csv(header, rows)
+    texts = {base + suffix + ".csv": _csv(*table) for suffix, table in tables.items()}
     if chart is not None:
         texts[base + ".svg"] = _svg(*chart)
     texts[base + "_summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    for path, text in texts.items():
-        _atomic_write(path, text)
-    files = list(texts)
+    files = []
+    try:
+        for path, text in texts.items():
+            _atomic_write(path, text)
+            files.append(path)
+    except OSError as exc:
+        for written in files:
+            os.unlink(written)
+        return RunResult(2, [], {}, f"config-error: cannot write {path}: {exc}")
     if ok:
         return RunResult(0, files, summary)
     return RunResult(1, files, summary, f"assertion-failure: {cfg.kind} on {cfg.datum_id}")
@@ -264,7 +264,7 @@ def _run_exact_step(u0, *, t_ladder=(0.1, 1.0, 10.0, 1e6), L=4.0, n=401,
         worst = max(worst, float(np.max(diffs)))
         rows.extend(zip([t] * len(xs), xs, nums, exact, diffs))
     ok = worst <= 2.0 * abs_tol
-    return ok, {"max_abs_diff": worst}, {"": rows}, None
+    return ok, {"max_abs_diff": worst}, {"": ("t,x,numeric,closed_form,abs_diff", rows)}, None
 
 
 def _run_profile_error(u0, *, t_ladder=(1e2, 1e4, 1e6, 1e8), L=4.0, n=401,
@@ -280,7 +280,8 @@ def _run_profile_error(u0, *, t_ladder=(1e2, 1e4, 1e6, 1e8), L=4.0, n=401,
         ok = all(s <= 2.0 * abs_tol for s in sups)
     else:
         ok = all(np.isfinite(s) and s <= 4.0 * u0.sup_norm + abs_tol for s in sups)
-    return ok, {"sup_error_first": sups[0], "sup_error_last": sups[-1]}, {"": rows}, chart
+    scalars = {"sup_error_first": sups[0], "sup_error_last": sups[-1]}
+    return ok, scalars, {"": ("t,L,sup_error,coeff_left,coeff_right", rows)}, chart
 
 
 def _run_log_kernel_bound(u0, *, x_values=(-3.0, -1.0, 0.0, 1.0, 3.0),
@@ -294,7 +295,7 @@ def _run_log_kernel_bound(u0, *, x_values=(-3.0, -1.0, 0.0, 1.0, 3.0),
             margin = rhs - lhs
             ok = ok and lhs <= rhs + 2.0 * abs_tol
             rows.append((x, t, lhs, rhs, margin))
-    return ok, {"min_margin": min(r[4] for r in rows)}, {"": rows}, None
+    return ok, {"min_margin": min(r[4] for r in rows)}, {"": ("x,t,lhs,rhs,margin", rows)}, None
 
 
 def _run_envelope_bound(u0, *, t_ladder=(1.0, 1e4), L=4.0, n=401, abs_tol=1e-10):
@@ -307,7 +308,8 @@ def _run_envelope_bound(u0, *, t_ladder=(1.0, 1e4), L=4.0, n=401, abs_tol=1e-10)
         bound = profile_bounds.envelope_bound(u0, a, b, L, t, spec)
         ok = ok and measured <= bound + 2.0 * abs_tol
         rows.append((t, a, b, measured, bound, bound - measured))
-    return ok, {"min_margin": min(r[5] for r in rows)}, {"": rows}, None
+    scalars = {"min_margin": min(r[5] for r in rows)}
+    return ok, scalars, {"": ("t,a,b,measured_error,bound,margin", rows)}, None
 
 
 def _run_dilation_bound(u0, *, alphas=(0.25, 0.5, 2.0, 4.0),
@@ -319,7 +321,7 @@ def _run_dilation_bound(u0, *, alphas=(0.25, 0.5, 2.0, 4.0),
             lhs, rhs = profile_bounds.dilation_difference_bound(u0, alpha, s)
             ok = ok and lhs <= rhs + 1e-12
             rows.append((alpha, s, lhs, rhs))
-    return ok, {"max_lhs": max(r[2] for r in rows)}, {"": rows}, None
+    return ok, {"max_lhs": max(r[2] for r in rows)}, {"": ("alpha,s,lhs,rhs", rows)}, None
 
 
 def _run_rescaled_check(u0, *, h_ladder=(1e-2, 5e-3), x_window=4.0, tau=0.0,
@@ -331,7 +333,7 @@ def _run_rescaled_check(u0, *, h_ladder=(1e-2, 5e-3), x_window=4.0, tau=0.0,
         rows.append((h, res))
     chart = [("residual", [(h, max(r, 1e-18)) for h, r in rows])], True, True
     ok = min(r for _, r in rows) <= 1e-3
-    return ok, {"residual_min": min(r for _, r in rows)}, {"": rows}, chart
+    return ok, {"residual_min": min(r for _, r in rows)}, {"": ("h,residual", rows)}, chart
 
 
 def _run_curvature_gap(u0, *, t_ladder=(1.0, 3.0, 10.0, 30.0, 100.0),
@@ -346,7 +348,7 @@ def _run_curvature_gap(u0, *, t_ladder=(1.0, 3.0, 10.0, 30.0, 100.0),
         ok = True
     else:
         ok = max(vals) / max(min(vals), 1e-300) <= 10.0
-    return ok, {"gap_max": max(vals), "gap_min": min(vals)}, {"": gaps}, chart
+    return ok, {"gap_max": max(vals), "gap_min": min(vals)}, {"": ("t,gap", gaps)}, chart
 
 
 def _run_flow_profile_error(u0, *, t_ladder=(4.0, 16.0, 64.0), L=4.0, n=401,
@@ -357,7 +359,7 @@ def _run_flow_profile_error(u0, *, t_ladder=(4.0, 16.0, 64.0), L=4.0, n=401,
     chart = [("sup_error", [(t, max(e, 1e-16)) for t, e in errs])], True, True
     ok = errs[-1][1] <= errs[0][1]
     scalars = {"sup_error_first": errs[0][1], "sup_error_last": errs[-1][1]}
-    return ok, scalars, {"": errs}, chart
+    return ok, scalars, {"": ("t,sup_error", errs)}, chart
 
 
 def _run_accumulation(u0, *,
@@ -377,7 +379,9 @@ def _run_accumulation(u0, *,
         ("fitted coefficients", [(a, b) for _, a, b in fit_rows]),
     ], False, False
     ok = all(np.isfinite(v) for row in rows + fit_rows for v in row)
-    return ok, {"n_samples": float(len(rows))}, {"": rows, "_fit": fit_rows}, chart
+    scalars = {"n_samples": float(len(rows))}
+    return ok, scalars, {"": ("lambda,u_left,u_right", rows),
+                         "_fit": ("t,alpha_fit,beta_fit", fit_rows)}, chart
 
 
 def _run_sliding_average(u0, *, R_ladder=(1e1, 1e2, 1e3, 1e4), abs_tol=1e-10):
@@ -394,7 +398,7 @@ def _run_sliding_average(u0, *, R_ladder=(1e1, 1e2, 1e3, 1e4), abs_tol=1e-10):
         ok = all(abs(a - rows[0][1]) <= 2.0 * abs_tol for _, a, _ in rows)
     else:
         ok = all(np.isfinite(a) for _, a, _ in rows)
-    return ok, {"average_last": rows[-1][1]}, {"": rows}, chart
+    return ok, {"average_last": rows[-1][1]}, {"": ("R,average,delta_prev", rows)}, chart
 
 
 _HANDLERS = {

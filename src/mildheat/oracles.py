@@ -56,12 +56,11 @@ def profile_F_trapezoid(z: float, panels: int = 100_000) -> float:
     return _trapezoid(np.exp(-0.25 * y * y), -14.0, z) / (2.0 * SQRT_PI)
 
 
-def heat_kernel_mass_trapezoid(t: float, tail_radius: float = 14.0,
-                               panels: int = 100_000) -> float:
-    """Integral of the heat kernel over |x| <= tail_radius * sqrt(t)."""
+def heat_kernel_mass_trapezoid(t: float, panels: int = 100_000) -> float:
+    """Integral of the heat kernel over |x| <= 14 sqrt(t)."""
     if not (t > 0 and math.isfinite(t)):
         raise ValueError(f"t must be positive and finite, got {t}")
-    w = tail_radius * math.sqrt(t)
+    w = 14.0 * math.sqrt(t)
     x = np.linspace(-w, w, panels + 1)
     k = np.exp(-x * x / (4.0 * t)) / (2.0 * math.sqrt(math.pi * t))
     return _trapezoid(k, -w, w)

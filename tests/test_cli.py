@@ -163,6 +163,39 @@ class TestRun:
         assert capsys.readouterr().out.startswith("solver-failure: ")
         assert not out.exists()
 
+    def test_out_dir_that_is_a_file(self, tmp_path, capsys):
+        cfg = tmp_path / "dilation.cfg"
+        cfg.write_text(DILATION_CFG)
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"config-error: cannot write {out}{os.sep}")
+        assert len(printed.splitlines()) == 1
+        assert out.read_text() == "not a directory\n"
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the second of the run's two files cannot be written: the first,
+        # already in place, is deleted again
+        real_write = experiments._atomic_write
+        calls = []
+
+        def fail_second(path, content):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            real_write(path, content)
+
+        monkeypatch.setattr(experiments, "_atomic_write", fail_second)
+        cfg = tmp_path / "dilation.cfg"
+        cfg.write_text(DILATION_CFG)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+        assert len(calls) == 2
+        assert capsys.readouterr().out == (
+            f"config-error: cannot write {calls[1]}: [Errno 28] No space left on device\n")
+        assert os.listdir(out) == []
+
     @staticmethod
     def _params_after_tol(tmp_path, monkeypatch, text):
         seen = []
@@ -198,6 +231,20 @@ class TestRunAll:
         (tmp_path / "a.cfg").write_text(DILATION_CFG)
         (tmp_path / "b.cfg").write_text("kind = dilation-bound\n")
         assert main(["run-all", str(tmp_path), "--out-dir", str(tmp_path / "o")]) == 2
+
+    def test_out_dir_that_is_a_file(self, tmp_path, capsys):
+        # every config is run and reported, not only the first
+        for name in ("a", "b", "c"):
+            (tmp_path / f"{name}.cfg").write_text(DILATION_CFG)
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        assert main(["run-all", str(tmp_path), "--out-dir", str(out)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        for name, line in zip("abc", lines):
+            csv = out / name / "dilation-bound_log_sine.csv"
+            assert line.startswith(f"config-error: cannot write {csv}: ")
+        assert out.read_text() == "not a directory\n"
 
     def test_empty_directory(self, tmp_path, capsys):
         os.makedirs(tmp_path / "empty")

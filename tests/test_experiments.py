@@ -4,12 +4,13 @@ import os
 import stat
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mildheat import experiments
+from mildheat.cli import main
 from mildheat.curvature_flow import SolverFailure
 from mildheat.experiments import (
-    CSV_HEADERS,
     ConfigError,
     ExperimentConfig,
     parse_config,
@@ -130,6 +131,29 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="does not read key 't_ladder'"):
             ExperimentConfig("dilation-bound", "log_sine", {"t_ladder": (5.0,)})
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("t_ladder", 5.0, "t_ladder must be a tuple of real numbers, got 5.0"),
+            ("n", 401.0, "n must be an int, got 401.0"),
+            ("L", (4.0,), r"L must be a real number, got \(4.0,\)"),
+            ("L", True, "L must be a real number, got True"),
+            ("n", True, "n must be an int, got True"),
+            ("t_ladder", (1.0, "10"), "t_ladder must be a tuple of real numbers"),
+        ],
+        ids=["float-ladder", "float-n", "tuple-L", "bool-L", "bool-n", "str-in-ladder"],
+    )
+    def test_mistyped_value_is_a_config_error(self, tmp_path, key, value, message):
+        # a programmatic config is checked against its defaults' types, so
+        # run never sees a value its handler would raise TypeError on
+        with pytest.raises(ConfigError, match=message):
+            _config("profile-error", "log_sine", tmp_path, **{key: value})
+
+    def test_integral_and_real_values_of_other_types_pass(self, tmp_path):
+        cfg = _config("profile-error", "step:0,1", tmp_path,
+                      t_ladder=(1, 10), L=np.float64(4.0), n=np.int64(21))
+        assert run(cfg).exit_code == 0
+
     def test_config_error_leaves_no_output_directory(self, tmp_path):
         # exact-step on a datum that is not a step fails inside run
         out = tmp_path / "fresh" / "out"
@@ -147,8 +171,6 @@ class TestRun:
         cfg = _config("exact-step", "step:0,1", tmp_path, t_ladder=(1.0, 10.0), n=21)
         result = run(cfg)
         assert result.exit_code == 0
-        csv = tmp_path / "exact-step_step_0_1.csv"
-        assert csv.read_text().splitlines()[0] == CSV_HEADERS["exact-step"]
         summary = json.loads((tmp_path / "exact-step_step_0_1_summary.json").read_text())
         assert summary["pass"] is True
         assert summary["scalars"]["max_abs_diff"] <= 2e-10
@@ -182,8 +204,6 @@ class TestRun:
     def test_dilation_bound_passes(self, tmp_path):
         result = run(_config("dilation-bound", "log_sine", tmp_path))
         assert result.exit_code == 0
-        header = (tmp_path / "dilation-bound_log_sine.csv").read_text().splitlines()[0]
-        assert header == CSV_HEADERS["dilation-bound"]
 
     def test_sliding_average_constant_passes(self, tmp_path):
         result = run(_config("sliding-average", "constant:0.5", tmp_path))
@@ -268,6 +288,28 @@ class TestRun:
             )
             kinds.add(cfg.kind)
         assert kinds == set(experiments._HANDLERS)
+
+    def test_csv_schemas(self, tmp_path, capsys):
+        # the README's fixed CSV schemas, written out independently of the
+        # handlers that produce them
+        expected = {
+            "01_exact_step/exact-step_step_0_1.csv": "t,x,numeric,closed_form,abs_diff",
+            "02_profile_error/profile-error_sub_log_0p5.csv": "t,L,sup_error,coeff_left,coeff_right",
+            "03_log_kernel_bound/log-kernel-bound_log_sine.csv": "x,t,lhs,rhs,margin",
+            "04_envelope_bound/envelope-bound_log_sine.csv": "t,a,b,measured_error,bound,margin",
+            "05_dilation_bound/dilation-bound_log_sine.csv": "alpha,s,lhs,rhs",
+            "06_rescaled_check/rescaled-check_constant_0p5.csv": "h,residual",
+            "07_curvature_gap/curvature-gap_smooth_log_sine_1.csv": "t,gap",
+            "08_flow_profile_error/flow-profile-error_smooth_log_sine_0p5.csv": "t,sup_error",
+            "09_accumulation/accumulation_log_sine.csv": "lambda,u_left,u_right",
+            "09_accumulation/accumulation_log_sine_fit.csv": "t,alpha_fit,beta_fit",
+            "10_sliding_average/sliding-average_log_sine.csv": "R,average,delta_prev",
+        }
+        assert main(["run-all", CONFIG_DIR, "--out-dir", str(tmp_path)]) == 0
+        csvs = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.csv"))
+        assert csvs == sorted(expected)
+        for name, header in expected.items():
+            assert (tmp_path / name).read_text().splitlines()[0] == header, name
 
     def test_no_stray_tmp_files(self, tmp_path):
         run(_config("dilation-bound", "log_sine", tmp_path))
