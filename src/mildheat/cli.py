@@ -50,7 +50,7 @@ def _run_one(path: str, out_dir: str | None, tol: float | None) -> int:
     except OSError as exc:
         print(f"config-error: {exc}")
         return 2
-    except experiments.ConfigError as exc:
+    except (experiments.ConfigError, UnicodeDecodeError) as exc:
         print(f"config-error: {path}: {exc}")
         return 2
     result = experiments.run(cfg)

@@ -6,10 +6,12 @@ Both use second-order centered differences and homogeneous Neumann walls at
 domain-of-influence buffer of 8 sqrt(T) so wall effects are below tolerance.
 
 The curvature flow is marched by one stepper (_stepper) along one schedule
-(_schedule).  A step of length tau in s stages starts with one pass of the
-stencil, F = D / (1/r + S^2 / (4 dx^2 r)) inside, from the forward
-differences g of u with D = g[1:] - g[:-1], S = g[1:] + g[:-1] and
-r = w1 tau / dx^2, and +-2 r g at the mirror walls.  With s = 1 it is the
+(_schedule), which alone decides every range check and every record: the
+march takes each run of the schedule, checks the range, and takes a snapshot
+when the run ends at a record time.  A step of length tau in s stages starts
+with one pass of the stencil, F = D / (1/r + S^2 / (4 dx^2 r)) inside, from
+the forward differences g of u with D = g[1:] - g[:-1], S = g[1:] + g[:-1]
+and r = w1 tau / dx^2, and +-2 r g at the mirror walls.  With s = 1 it is the
 explicit Euler step u += F.  With s >= 2 it is a second-order
 Runge-Kutta-Legendre (RKL2) super-step (Meyer, Balsara & Aslam, J. Comput.
 Phys. 257, 2014), a Chebyshev-type stabilised method in the line of RKC
@@ -21,15 +23,15 @@ equal explicit steps of at most dt = 0.4 dx^2 (FDSolverConfig.cfl, a
 constant; _steps).  The diffusion coefficient is at most 1 and 0.4 <= 1/2, so
 every such step is a convex combination of neighbours (Courant, Friedrichs &
 Lewy 1928) and a discrete maximum principle holds.  The range of the initial
-data is checked every _CHECK_EVERY = 64 explicit steps, at the switch and at
-each record time, so an instability raises SolverFailure near the step where
-it starts, not at the next record time.  After 320 dx^2 an explicit step
-costs more than it must, and the schedule gives one super-step at a time: at
-time t it is at most 0.02 t long, and its s stages cover about s^2 / 4
-explicit steps (_stages), so reaching t takes about 45 sqrt(t) / dx stages
-instead of 2.5 t / dx^2 steps.  The stages have negative coefficients, so no
-discrete maximum principle is proved for them: the range is checked after
-every super-step.  The switch time is where a super-step first replaces 16
+data is checked at every _CHECK_EVERY = 64-th explicit step counted from
+t = 0, at the switch and at each record time, so an instability raises
+SolverFailure near the step where it starts, not at the next record time.
+After 320 dx^2 an explicit step costs more than it must, and the schedule
+gives one super-step at a time: at time t it is at most 0.02 t long, and its
+s stages cover about s^2 / 4 explicit steps (_stages), so reaching t takes
+about 45 sqrt(t) / dx stages instead of 2.5 t / dx^2 steps.  The stages have
+negative coefficients, so no discrete maximum principle is proved for them:
+the range is checked after every super-step.  The switch time is where a super-step first replaces 16
 explicit steps; every snapshot up to it is the explicit scheme's.
 
 Even data are marched on half the grid.  When the grid has an odd number n of
@@ -69,8 +71,8 @@ from .profile_bounds import two_sided_profile
 from .semigroup import GridFunction, evolve_on_grid
 
 
-# steps between range checks inside a record interval; the last step of each
-# interval is always checked
+# explicit steps between range checks, counted from t = 0; the switch and
+# each record time are checked too
 _CHECK_EVERY = 64
 
 # an RKL2 super-step at time t is at most _ACCURACY * t long, and super-steps
@@ -164,36 +166,58 @@ def _stages(tau: float, dt_max: float) -> int:
     return max(2, math.ceil((math.sqrt(9.0 + 16.0 * tau / dt_max) - 1.0) / 2.0))
 
 
-def _schedule(t: float, target: float, dt_max: float):
-    """(end, tau, s, count) for each run of count equal steps from t to target.
+def _schedule(record_times, dt_max: float):
+    """(tau, s, count, t, where, record) for each run of count equal steps of
+    length tau in s stages, from t = 0 through every record time.
 
-    Up to the switch at _SWITCH_STEPS dt_max / _ACCURACY = 320 dx^2 the march
-    takes one run of equal explicit steps (s = 1, _steps); a record time within
-    rounding of the switch is reached by them.  After it, each item is one
-    RKL2 super-step: _ACCURACY * t long or ending at target, with a rest
-    shorter than two super-steps cut into two halves, so no sliver is left.
+    Each run ends at a range check at time t; where names its last step and
+    when the range is checked, and record tells whether t is a record time,
+    where the march takes a snapshot.  This is the one place that decides
+    both.  Up to the switch at _SWITCH_STEPS dt_max / _ACCURACY = 320 dx^2
+    each record interval is the fewest equal explicit steps (s = 1, _steps),
+    checked at every _CHECK_EVERY-th explicit step counted from t = 0, at the
+    switch and at each record time; a record time within rounding of the
+    switch is reached by them.  After it, each run is one RKL2 super-step,
+    checked after it: _ACCURACY * t long or ending at the record time, with a
+    rest shorter than two super-steps cut into two halves, so no sliver is
+    left.  A repeated record time is a run of no steps.
     """
     switch = _SWITCH_STEPS * dt_max / _ACCURACY
-    end = target if target <= switch * (1.0 + 1e-12) else switch
-    if t < end:
-        count, dt = _steps(t, end, dt_max)
-        yield end, dt, 1, count
-        t = end
-    while t < target:
-        tau = min(_ACCURACY * t, target - t)
-        if tau < target - t < 2.0 * tau:
-            tau = 0.5 * (target - t)
-        t = target if tau == target - t else t + tau
-        yield t, tau, _stages(tau, dt_max), 1
+    t, explicit, supers = 0.0, 0, 0
+    for target in record_times:
+        if t == target:
+            yield dt_max, 1, 0, t, f"record time {t:g} repeated", True
+        end = target if target <= switch * (1.0 + 1e-12) else switch
+        if t < end:
+            count, dt = _steps(t, end, dt_max)
+            first, last = explicit, explicit + count
+            while explicit < last:
+                k = min(last, explicit - explicit % _CHECK_EVERY + _CHECK_EVERY)
+                yield (dt, 1, k - explicit, end if k == last else t + (k - first) * dt,
+                       f"explicit step {k} (range checked every {_CHECK_EVERY} steps, "
+                       f"at the switch and at each record time", k == last and end == target)
+                explicit = k
+            t = end
+        while t < target:
+            tau = min(_ACCURACY * t, target - t)
+            if tau < target - t < 2.0 * tau:
+                tau = 0.5 * (target - t)
+            t = target if tau == target - t else t + tau
+            supers += 1
+            s = _stages(tau, dt_max)
+            # RKL2 stages have negative coefficients, so no discrete maximum
+            # principle is proved for them
+            yield (tau, s, 1, t, f"super-step {supers} (s = {s} stages, tau = {tau:.6g}) "
+                   f"(range checked after every super-step", t == target)
 
 
-def _check_range(u, lo, hi, t, where, dx, cfl, checked) -> None:
-    # written so that a NaN fails the test as well
+def _check_range(u, lo, hi, t, where, dx, cfl) -> None:
+    # where names the step and, after an open parenthesis, when the range is
+    # checked; written so that a NaN fails the test as well
     if not (lo <= u.min() and u.max() <= hi):
         raise SolverFailure(
-            f"solution left [{lo:.6g}, {hi:.6g}] at t = {t:g}, {where} "
-            f"(range checked {checked}; range [{u.min():.6g}, {u.max():.6g}]); "
-            f"dx = {dx:g}, cfl = {cfl:g}"
+            f"solution left [{lo:.6g}, {hi:.6g}] at t = {t:g}, {where}; "
+            f"range [{u.min():.6g}, {u.max():.6g}]); dx = {dx:g}, cfl = {cfl:g}"
         )
 
 
@@ -299,35 +323,11 @@ def _march(u0: InitialDatum, cfg: FDSolverConfig) -> tuple[list[GridFunction], i
     w = u[c:]  # even data: nodes c..n-1, with the centre as a mirror wall
     step = _stepper(w, dx)
     snapshots = []
-    explicit = supers = 0
-    t = 0.0
-    for target in cfg.record_times:
-        for end, tau, s, count in _schedule(t, target, cfg.cfl * dx * dx):
-            # a run of explicit steps is taken to each multiple of
-            # _CHECK_EVERY and to its end, where the range is checked; a
-            # super-step is a run of one
-            done = 0
-            for k in (*range(_CHECK_EVERY - explicit % _CHECK_EVERY, count, _CHECK_EVERY),
-                      count):
-                step(tau, s, k - done)
-                done = k
-                if s == 1:
-                    where = f"explicit step {explicit + k}"
-                    checked = (f"every {_CHECK_EVERY} steps, at the switch and at "
-                               f"each record time")
-                else:
-                    # RKL2 stages have negative coefficients, so no discrete
-                    # maximum principle is proved for them
-                    where = f"super-step {supers + 1} (s = {s} stages, tau = {tau:.6g})"
-                    checked = "after every super-step"
-                _check_range(w, lo, hi, end if k == count else t + k * tau, where, dx,
-                             cfg.cfl, checked)
-            if s == 1:
-                explicit += count
-            else:
-                supers += 1
-            t = end
-        snapshots.append(_snapshot(xs, w, c))
+    for tau, s, count, t, where, record in _schedule(cfg.record_times, cfg.cfl * dx * dx):
+        step(tau, s, count)
+        _check_range(w, lo, hi, t, where, dx, cfg.cfl)
+        if record:
+            snapshots.append(_snapshot(xs, w, c))
     return snapshots, c
 
 
@@ -379,8 +379,8 @@ def solve_heat_fd(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
         modes *= _eigen_powers(4.0 * r * sin2, nsteps)  # lambda_k = 1 - 4 r sin2_k
         step += nsteps
         snap = base + np.fft.irfft(modes, m)[:n]
-        _check_range(snap, lo, hi, target, f"explicit step {step}", dx, cfg.cfl,
-                     "at each record time")
+        _check_range(snap, lo, hi, target,
+                     f"explicit step {step} (range checked at each record time", dx, cfg.cfl)
         snapshots.append(_snapshot(xs, snap, c))
         t = target
     return snapshots

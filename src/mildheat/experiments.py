@@ -8,8 +8,8 @@ pass/fail verdict, its scalars, its chart and its CSV tables, each table's
 header in the same return statement as the rows whose columns it names.
 Everything is deterministic (no RNG anywhere). The handler only computes:
 `run` alone writes the output files, after the handler has returned, so a
-run that fails writes no file. Every file is written atomically, so
-concurrent runs never interleave partial files.
+run that fails writes no file and leaves no directory. Every file is
+written atomically, so concurrent runs never interleave partial files.
 """
 
 from __future__ import annotations
@@ -125,10 +125,8 @@ def _atomic_write(path: str, content: str) -> None:
     """Write content to path through a private temporary file in the same
     directory, so concurrent writers never share or expose a partial file.
     The temporary file is created with mode 0o666 under the process umask,
-    so it gets the mode a plain open() would give it, and its directory is
-    created if missing, so a run that fails before writing leaves none."""
+    so it gets the mode a plain open() would give it."""
     directory, name = os.path.split(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     while True:
         tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
         try:
@@ -146,6 +144,20 @@ def _atomic_write(path: str, content: str) -> None:
         except FileNotFoundError:
             pass
         raise
+
+
+def _make_dirs(directory: str, made: list[str]) -> None:
+    """os.makedirs(directory, exist_ok=True), appending each directory it
+    creates to made, outermost first, so a failed run can remove them."""
+    parent = os.path.dirname(directory)
+    if parent != directory and not os.path.isdir(parent):
+        _make_dirs(parent, made)
+    try:
+        os.mkdir(directory)
+        made.append(directory)
+    except FileExistsError:
+        if not os.path.isdir(directory):
+            raise
 
 
 def _csv(header: str, rows) -> str:
@@ -212,7 +224,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
     <kind>_<datum><suffix>.csv, the chart as .svg, then the summary manifest
     as _summary.json. A run that exits 2 or 3 leaves no file: an output that
     cannot be written is exit 2, and the files this run wrote before it are
-    deleted."""
+    deleted, then the directories it created, deepest first."""
     try:
         u0 = initial_data.from_id(cfg.datum_id)
         ok, scalars, tables, chart = _HANDLERS[cfg.kind](u0, **cfg.params)
@@ -231,14 +243,18 @@ def run(cfg: ExperimentConfig) -> RunResult:
     if chart is not None:
         texts[base + ".svg"] = _svg(*chart)
     texts[base + "_summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    files = []
+    made, files = [], []
+    path = next(iter(texts))  # the file named when its directory cannot be made
     try:
+        _make_dirs(os.path.abspath(cfg.out_dir), made)
         for path, text in texts.items():
             _atomic_write(path, text)
             files.append(path)
     except OSError as exc:
         for written in files:
             os.unlink(written)
+        for directory in reversed(made):
+            os.rmdir(directory)
         return RunResult(2, [], {}, f"config-error: cannot write {path}: {exc}")
     if ok:
         return RunResult(0, files, summary)

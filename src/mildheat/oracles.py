@@ -31,12 +31,15 @@ def kernel_G_trapezoid(z: float, panels: int = 100_000) -> float:
 
     Same split as the production evaluator (y = e^s below 1, direct above) but
     summed with fixed uniform panels, in absolute y on [1, max(1, z) + 14]: a
-    reference only for moderate |z|, since at large z the panels outgrow the
+    reference only for moderate z, since at large z the panels outgrow the
     kernel's width and ulp(z) eats its digits.  With 10^5 panels it is within
-    1.2e-15 of QUADPACK at the 20 points of acceptance criterion 02.
+    1.2e-15 of QUADPACK at the 20 points of acceptance criterion 02, and
+    within 3e-14 of kernels.kernel_G at abs_tol 1e-13 up to z = 1e4; past
+    that its error grows (3e-13 at 3e4, 4e-12 at 1e5, 0.84 for 13.8 at 1e6),
+    so z above 1e4 raises ValueError.
     """
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z}")
+    if not math.isfinite(z) or z > 1e4:
+        raise ValueError(f"z must be finite and at most 1e4, got {z}")
     s = np.linspace(-40.0, 0.0, panels + 1)
     ys = np.exp(s)
     low = _trapezoid(np.exp(-0.25 * (z - ys) ** 2) * (-s) * ys, -40.0, 0.0)
@@ -47,11 +50,13 @@ def kernel_G_trapezoid(z: float, panels: int = 100_000) -> float:
 
 
 def profile_F_trapezoid(z: float, panels: int = 100_000) -> float:
-    """Cumulative Gaussian (variance 2) by dense trapezoid from -14."""
+    """Cumulative Gaussian (variance 2) by dense trapezoid from -14: 0 at
+    z <= -14 and 1 at z >= 14, each off by erfc(7) / 2 < 2e-23, so the panels
+    never outgrow the Gaussian."""
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
-    if z <= -14.0:
-        return 0.0
+    if abs(z) >= 14.0:
+        return 0.0 if z < 0 else 1.0
     y = np.linspace(-14.0, z, panels + 1)
     return _trapezoid(np.exp(-0.25 * y * y), -14.0, z) / (2.0 * SQRT_PI)
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import mildheat
-from mildheat import experiments
+from mildheat import experiments, oracles
 from mildheat.cli import main
 from mildheat.initial_data import catalog
 
@@ -43,6 +43,22 @@ class TestOracle:
     def test_kernel_at_zero(self, capsys):
         assert main(["oracle", "kernel_G", "0.0"]) == 0
         assert math.isfinite(float(capsys.readouterr().out.strip()))
+
+    @pytest.mark.parametrize("z", [14.0, 1e6, 1e300])
+    def test_profile_far_right_is_one(self, capsys, z):
+        # the trapezoid from -14 would outgrow the Gaussian; 1 - F(14) is
+        # erfc(7) / 2 < 2e-23
+        assert oracles.profile_F_trapezoid(z) == 1.0
+        assert main(["oracle", "profile_F", repr(z)]) == 0
+        assert capsys.readouterr().out == "1.000000000000000e+00\n"
+
+    def test_kernel_far_right(self, capsys):
+        # G(z) = E log(z + X) with X ~ N(0, 2) = log z - 1/z^2 - 3/z^4 - ...
+        # for large z; past 1e4 the fixed panels outgrow the kernel
+        z = 1e4
+        assert abs(oracles.kernel_G_trapezoid(z) - (math.log(z) - 1.0 / z**2)) <= 1e-12
+        assert main(["oracle", "kernel_G", "1e6"]) == 2
+        assert capsys.readouterr().out.startswith("config-error: ")
 
     @pytest.mark.parametrize(
         "function, arg",
@@ -194,7 +210,31 @@ class TestRun:
         assert len(calls) == 2
         assert capsys.readouterr().out == (
             f"config-error: cannot write {calls[1]}: [Errno 28] No space left on device\n")
+        assert not out.exists()
+
+    def test_failed_write_removes_only_the_directories_it_made(self, tmp_path, monkeypatch):
+        # out/a/b is made by the run and removed again, deepest first; out
+        # was there before and stays
+        def fail(path, content):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(experiments, "_atomic_write", fail)
+        cfg = tmp_path / "dilation.cfg"
+        cfg.write_text(DILATION_CFG)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["run", str(cfg), "--out-dir", str(out / "a" / "b")]) == 2
         assert os.listdir(out) == []
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# caf\xff\n" + DILATION_CFG.encode())
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"config-error: {cfg}: 'utf-8' codec can't decode byte 0xff")
+        assert len(printed.splitlines()) == 1
+        assert not out.exists()
 
     @staticmethod
     def _params_after_tol(tmp_path, monkeypatch, text):
@@ -245,6 +285,19 @@ class TestRunAll:
             csv = out / name / "dilation-bound_log_sine.csv"
             assert line.startswith(f"config-error: cannot write {csv}: ")
         assert out.read_text() == "not a directory\n"
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        # the undecodable config is reported and the others still run
+        for name in ("a", "b", "c"):
+            (tmp_path / f"{name}.cfg").write_text(DILATION_CFG)
+        (tmp_path / "b.cfg").write_bytes(b"# caf\xff\n" + DILATION_CFG.encode())
+        out = tmp_path / "out"
+        assert main(["run-all", str(tmp_path), "--out-dir", str(out)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == lines[2] == "pass: dilation-bound log_sine"
+        assert lines[1].startswith(f"config-error: {tmp_path / 'b.cfg'}: ")
+        assert len(lines) == 3
+        assert sorted(os.listdir(out)) == ["a", "c"]
 
     def test_empty_directory(self, tmp_path, capsys):
         os.makedirs(tmp_path / "empty")

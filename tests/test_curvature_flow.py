@@ -126,6 +126,16 @@ class TestSolvers:
         gap = float(np.max(np.abs(cf - heat)))
         assert 0.0 < gap < 0.02
 
+    def test_repeated_record_time_repeats_its_snapshot(self):
+        # record times need only be non-decreasing; 1 is before the switch
+        # at 320 dx^2 = 3.2 and 5 after it
+        u = make_gaussian(1.0)
+        once = solve_cf(u, _cfg(half_width=4.0, t_final=5.0, record_times=(1.0, 5.0)))
+        twice = solve_cf(u, _cfg(half_width=4.0, t_final=5.0, record_times=(1.0, 1.0, 5.0, 5.0)))
+        assert len(twice) == 4
+        for snap, want in zip(twice, [once[0], once[0], once[1], once[1]]):
+            assert np.array_equal(snap.values, want.values)
+
     def test_curvature_flow_rejects_kinked_data(self):
         with pytest.raises(ValueError, match="twice-differentiable"):
             solve_cf(make_step(0.0, 1.0), _cfg())
@@ -536,6 +546,38 @@ def test_buffer_is_checked_before_marching(monkeypatch, call):
     monkeypatch.setattr(curvature_flow, "_march", no_march)
     with pytest.raises(ValueError, match="buffer"):
         call(make_smooth_log_sine(0.5))
+
+
+def test_range_is_checked_where_the_rules_say(monkeypatch):
+    # every 64th explicit step counted from t = 0, the end of each explicit
+    # run (the switch at 320 dx^2 = 3.2 and each record time before it) and
+    # after every super-step; the record times straddle the switch
+    real = curvature_flow._check_range
+    checked = []
+
+    def recorder(*args):
+        checked.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(curvature_flow, "_check_range", recorder)
+    cfg = _cfg(half_width=4.0, t_final=12.0, record_times=(0.5, 5.0, 12.0))
+    solve_cf(make_smooth_log_sine(1.0), cfg)
+    dx = cfg.nodes()[1] - cfg.nodes()[0]
+    want, t, steps = [], 0.0, 0
+    for target in cfg.record_times:
+        for kind, h, m in _schedule(t, target, dx):
+            if kind == "euler":
+                want += [t + (k - steps) * h for k in range(steps + 1, steps + m)
+                         if k % 64 == 0]
+                want.append(t + m * h)
+                steps += m
+                t += m * h
+            else:
+                t += h
+                want.append(t)
+        t = target
+    assert steps == 800 and len(want) > 13 + 40
+    assert checked == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestSolverFailure:
