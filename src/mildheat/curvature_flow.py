@@ -66,7 +66,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .initial_data import DecayClass, InitialDatum
-from .kernels import DEFAULT_SPEC, QuadratureSpec, _positive
+from .kernels import DEFAULT_SPEC, QuadratureSpec, _count, _positive
 from .profile_bounds import two_sided_profile
 from .semigroup import GridFunction, evolve_on_grid
 
@@ -462,6 +462,7 @@ def flow_profile_error(
     against the two-sided profile; returns (t, sup_error) pairs.
     """
     _positive("L", L)
+    _count("n", n, 3)
     if u0.decay_class is not DecayClass.DECAYS_AT_INFINITY:
         raise ValueError(
             f"profile comparison needs a datum whose slope functional decays "

@@ -14,6 +14,7 @@ written atomically, so concurrent runs never interleave partial files.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import json
 import math
@@ -125,24 +126,20 @@ def _atomic_write(path: str, content: str) -> None:
     """Write content to path through a private temporary file in the same
     directory, so concurrent writers never share or expose a partial file.
     The temporary file is created with mode 0o666 under the process umask,
-    so it gets the mode a plain open() would give it."""
+    so it gets the mode a plain open() would give it. Its name carries 64
+    random bits and is tried once: O_EXCL makes a collision a
+    FileExistsError, an OSError like any other failed write, which `run`
+    reports as exit 2."""
     directory, name = os.path.split(os.path.abspath(path))
-    while True:
-        tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            continue
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(content)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
-        except FileNotFoundError:
-            pass
         raise
 
 
@@ -224,7 +221,9 @@ def run(cfg: ExperimentConfig) -> RunResult:
     <kind>_<datum><suffix>.csv, the chart as .svg, then the summary manifest
     as _summary.json. A run that exits 2 or 3 leaves no file: an output that
     cannot be written is exit 2, and the files this run wrote before it are
-    deleted, then the directories it created, deepest first."""
+    deleted, then the directories it created, deepest first. The rollback
+    itself cannot fail: it passes over a file that is already gone and
+    keeps a directory that another run has written into."""
     try:
         u0 = initial_data.from_id(cfg.datum_id)
         ok, scalars, tables, chart = _HANDLERS[cfg.kind](u0, **cfg.params)
@@ -252,9 +251,11 @@ def run(cfg: ExperimentConfig) -> RunResult:
             files.append(path)
     except OSError as exc:
         for written in files:
-            os.unlink(written)
+            with contextlib.suppress(OSError):
+                os.unlink(written)
         for directory in reversed(made):
-            os.rmdir(directory)
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
         return RunResult(2, [], {}, f"config-error: cannot write {path}: {exc}")
     if ok:
         return RunResult(0, files, summary)

@@ -19,6 +19,7 @@ an uncertified value.  All functions here are pure and thread-safe.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,13 @@ def _finite(what: str, v: float) -> float:
     """v if it is finite; ValueError naming what otherwise."""
     if not math.isfinite(v):
         raise ValueError(f"{what} must be finite, got {v}")
+    return v
+
+
+def _count(what: str, v: int, least: int) -> int:
+    """v if it is an int of at least least; ValueError naming what otherwise."""
+    if not (isinstance(v, numbers.Integral) and v >= least):
+        raise ValueError(f"{what} must be an int of at least {least}, got {v!r}")
     return v
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial_data import InitialDatum
-from .kernels import _TAIL_PART, DEFAULT_SPEC, SQRT_PI, QuadratureSpec, _finite, _positive
+from .kernels import _TAIL_PART, DEFAULT_SPEC, SQRT_PI, QuadratureSpec, _count, _finite, _positive
 from .kernels import envelope_rho, gauss_window, kernel_G, profile_F
 from .semigroup import _halfline_integral, _one_sided, scaled_evolve, scaled_evolve_many
 
@@ -57,8 +57,7 @@ def sup_profile_error(
     _finite("b", b)
     _positive("L", L)
     _positive("t", t)
-    if n < 3:
-        raise ValueError(f"need at least 3 grid nodes, got {n}")
+    _count("n", n, 3)
     xs = np.linspace(-L, L, n)
     num = scaled_evolve_many(u0, xs, t, spec)
     return float(np.max(np.abs(num - (a * profile_F(-xs) + b * profile_F(xs)))))
@@ -73,6 +72,7 @@ def profile_error(
 ) -> ProfileErrorReport:
     """Measure the profile error with the natural coefficients u0(+-sqrt(t))."""
     _positive("L", L)
+    _count("n", n, 3)
     st = math.sqrt(_positive("t", t))
     a = float(u0.eval(-st))
     b = float(u0.eval(st))

@@ -219,8 +219,8 @@ def scaled_evolve_many(
     """
     _positive("t", t)
     xs = np.asarray(xs, dtype=float)
-    if xs.size == 0 or not np.isfinite(xs).all():
-        raise ValueError("points must be a non-empty array of finite numbers")
+    if xs.ndim != 1 or xs.size == 0 or not np.isfinite(xs).all():
+        raise ValueError("points xs must be a non-empty 1-D array of finite numbers")
     order = np.argsort(xs)
     x = xs[order]
     st = math.sqrt(t)
@@ -286,8 +286,11 @@ def _refined_halfline_segment(u0, y, centre, st, sign, kind, a, b, tol):
     The first certificate compares S_2m with S_4m, so it needs T_m, M_m and
     M_2m: nodes h i, h (i + 1/2) and (h/2)(i + 1/2), which are (h/4) k, for
     k = 0..4m, bit for bit, as h/4 is exact.  They take one datum evaluation
-    and one _window_sum with one weight column per level.  A "lin" level's
-    nodes are evenly spaced, so _window_sum sums them in blocks.
+    and one _window_sum with one weight column per level, and S_2m is formed
+    before the loop.  Each pass of the loop then advances (T, M, m, h) by one
+    level, certifies S_2m against the S_m of the pass before, checks the
+    panel cap, and only then evaluates the next level's midpoints.  A "lin"
+    level's nodes are evenly spaced, so _window_sum sums them in blocks.
     """
     def node_sum(step, k, weight):
         # the nodes lie at offsets step k from a, in s = log z for "log";
@@ -314,26 +317,23 @@ def _refined_halfline_segment(u0, y, centre, st, sign, kind, a, b, tol):
     levels[[0, -1], 0] = 0.5 * h
     levels[2::4, 1] = h
     levels[1::2, 2] = 0.5 * h
-    trap, *mids = node_sum(0.25 * h, np.arange(4 * m + 1), levels).T
-    prev = None
+    trap, mid, nxt = node_sum(0.25 * h, np.arange(4 * m + 1), levels).T
+    prev = (trap + 2.0 * mid) / 3.0  # S_2m
     while True:
-        mid = mids.pop(0) if mids else node_sum(h, np.arange(m) + 0.5, h)[:, 0]
+        trap, mid, m, h = 0.5 * (trap + mid), nxt, 2 * m, 0.5 * h
         s = (trap + 2.0 * mid) / 3.0
-        n = 2 * m
-        if prev is not None:
-            delta = s - prev
-            err = float(np.max(np.abs(delta)))
-            if err <= 15.0 * tol:
-                return s + delta / 15.0
-            if 2 * n > _PANEL_CAP:
-                raise UncertifiedQuadrature(
-                    f"{u0.id}: {kind} segment [{a!r}, {b!r}] on side "
-                    f"{sign:+g} reached {n} panels with estimate "
-                    f"{err / 15.0:.3g} above the share {tol:.3g}"
-                )
+        delta = s - prev
+        err = float(np.max(np.abs(delta)))
+        if err <= 15.0 * tol:
+            return s + delta / 15.0
+        if 4 * m > _PANEL_CAP:
+            raise UncertifiedQuadrature(
+                f"{u0.id}: {kind} segment [{a!r}, {b!r}] on side "
+                f"{sign:+g} reached {2 * m} panels with estimate "
+                f"{err / 15.0:.3g} above the share {tol:.3g}"
+            )
         prev = s
-        trap = 0.5 * (trap + mid)
-        m, h = n, 0.5 * h
+        nxt = node_sum(0.5 * h, np.arange(2 * m) + 0.5, 0.5 * h)[:, 0]
 
 
 def _cells(x):

@@ -11,6 +11,9 @@ from mildheat.cli import main
 from mildheat.initial_data import catalog
 
 DILATION_CFG = "kind = dilation-bound\ndatum = log_sine\n"
+# a default config that writes three files: a table, a chart and a manifest
+SLIDING_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "10_sliding_average.cfg")
 
 
 class TestListData:
@@ -224,6 +227,56 @@ class TestRun:
         out = tmp_path / "out"
         out.mkdir()
         assert main(["run", str(cfg), "--out-dir", str(out / "a" / "b")]) == 2
+        assert os.listdir(out) == []
+
+    @staticmethod
+    def _second_write_fails(monkeypatch, meddle):
+        # the run's second file fails to write after meddle(first path) has
+        # run, as another process might meddle between the two writes
+        real_write = experiments._atomic_write
+        calls = []
+
+        def fail_second(path, content):
+            calls.append(path)
+            if len(calls) == 2:
+                meddle(calls[0])
+                raise OSError(28, "No space left on device")
+            real_write(path, content)
+
+        monkeypatch.setattr(experiments, "_atomic_write", fail_second)
+        return calls
+
+    def test_rollback_keeps_a_directory_another_run_wrote_into(
+            self, tmp_path, capsys, monkeypatch):
+        # another run drops other_run.csv into new/sub between this run's
+        # writes: the rollback removes this run's file, keeps the directories
+        # that are not empty, and still reports one line with exit 2
+        sub = tmp_path / "new" / "sub"
+        other = sub / "other_run.csv"
+        calls = self._second_write_fails(monkeypatch, lambda first: other.write_text("x\n"))
+        assert main(["run", SLIDING_CFG, "--out-dir", str(sub)]) == 2
+        assert capsys.readouterr().out == (
+            f"config-error: cannot write {calls[1]}: [Errno 28] No space left on device\n")
+        assert os.listdir(sub) == ["other_run.csv"]
+        assert other.read_text() == "x\n"
+
+    def test_rollback_of_a_file_another_process_removed(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        calls = self._second_write_fails(monkeypatch, os.unlink)
+        assert main(["run", SLIDING_CFG, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().out == (
+            f"config-error: cannot write {calls[1]}: [Errno 28] No space left on device\n")
+        assert not out.exists()
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, capsys, monkeypatch):
+        def fail(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["run", SLIDING_CFG, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().out.startswith(f"config-error: cannot write {out}{os.sep}")
         assert os.listdir(out) == []
 
     def test_config_that_is_not_utf8(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Every public function refuses a scalar argument it cannot use, naming it,
-before it reads the datum or starts a quadrature or march."""
+"""Every public function refuses an argument it cannot use, naming it, before
+it reads the datum or starts a quadrature or march: scalars, point arrays and
+node counts."""
 
 import dataclasses
 import math
@@ -174,3 +175,46 @@ def test_oracle_end_weights_need_five_panels(oracle, arg):
     with pytest.raises(ValueError, match="panels must be at least 5, got 4"):
         oracle(arg, panels=4)
     assert math.isfinite(oracle(arg, panels=5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: scaled_evolve_many(U, np.zeros((2, 3)), 1.0),
+        lambda: scaled_evolve_many(U, np.array(1.0), 1.0),
+        lambda: evolve_on_grid(U, np.zeros((2, 2)), 1.0),
+    ],
+    ids=["2-D", "0-D", "grid-2-D"],
+)
+def test_points_must_be_a_flat_array(call):
+    # empty and non-finite points: test_semigroup.py
+    with pytest.raises(ValueError, match=r"\bxs\b.* must be a non-empty 1-D array"):
+        call()
+
+
+# marked smooth, so that flow_profile_error passes its other checks and marches
+SMOOTH = dataclasses.replace(U, smooth=True)
+NODE_COUNT_CALLS = pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: sup_profile_error(SMOOTH, 0.0, 1.0, 4.0, 1.0, n),
+        lambda n: profile_error(SMOOTH, 4.0, 1.0, n),
+        lambda n: flow_profile_error(SMOOTH, CFG, 4.0, (1.0,), n),
+    ],
+    ids=["sup_profile_error", "profile_error", "flow_profile_error"],
+)
+
+
+@NODE_COUNT_CALLS
+@pytest.mark.parametrize("n", [401.5, 2.5, np.float64(401.0), 2, 1, 0, -3, True])
+def test_node_count_must_be_an_int_of_at_least_3(call, n):
+    # checked before the datum is read, and before any march
+    with pytest.raises(ValueError, match=r"\bn must be an int of at least 3"):
+        call(n)
+
+
+@NODE_COUNT_CALLS
+@pytest.mark.parametrize("n", [3, np.int64(401)])
+def test_integral_node_counts_pass(call, n):
+    with pytest.raises(AssertionError, match="datum was read"):
+        call(n)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import erf, erfc
+from scipy.special import erf, erfc, gamma
 
 from mildheat.initial_data import (
     catalog,
@@ -559,6 +559,68 @@ class TestCompressedCells:
             tracemalloc.stop()
         assert peak <= 25e6
         assert np.max(np.abs(got - _gaussian_scaled(xs, 1.0))) <= 2 * DEFAULT_SPEC.abs_tol
+
+
+def _log_sine_scaled(xs, t):
+    """u(sqrt(t) x, t) for u0 = sin(log|x|) in closed form, for |x| <= 12:
+
+        Im[(4t)^{i/2} Gamma((1+i)/2)/sqrt(pi) e^{-x^2/4} M((1+i)/2, 1/2, x^2/4)],
+
+    from sin(log|x|) = Im |x|^i, the absolute moments of a normal variable
+    and Kummer's transformation (DLMF 13.2.39).  M is summed by its series,
+    whose terms do not cancel at a positive argument; at |x| <= 12 it takes
+    about 101 terms to reach 1e-18 relative.
+    """
+    a = 0.5 + 0.5j
+    z = 0.25 * np.asarray(xs, dtype=float) ** 2
+    term = np.ones(z.shape, dtype=complex)
+    series = term.copy()
+    k = 0
+    while np.any(np.abs(term) > 1e-18 * np.abs(series)):
+        term = term * ((a + k) / ((0.5 + k) * (k + 1.0))) * z
+        series += term
+        k += 1
+    phase = np.exp(0.5j * math.log(4.0 * t))
+    return np.imag(phase * gamma(a) / math.sqrt(math.pi) * np.exp(-z) * series)
+
+
+class TestLogSineClosedForm:
+    # log_sine against its closed form, an independent reference: a wrong
+    # clock turns the profile's phase (1/2) log 4t and fails every check
+    TIMES = (1e-8, 1e-4, 1.0, 1e4, 1e8, 1e16)
+
+    def test_closed_form_matches_quadpack(self):
+        u = make_log_sine()
+        xs = np.array([-12.0, -5.0, -1.0, 0.0, 0.3, 2.0, 7.0, 12.0])
+        want = np.array([_quadpack_scaled(u, float(x), 2.0) for x in xs])
+        assert np.max(np.abs(_log_sine_scaled(xs, 2.0) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("abs_tol", [1e-10, 1e-13])
+    @pytest.mark.parametrize("t", TIMES)
+    def test_dense_cells(self, t, abs_tol):
+        xs = np.linspace(-12.0, 12.0, 241)
+        # two cells take the Chebyshev path, and the third is summed at its points
+        assert [_cell(xs[i:e])[2] is None for i, e in _cells(xs)] == [False, False, True]
+        got = scaled_evolve_many(make_log_sine(), xs, t, QuadratureSpec(abs_tol=abs_tol))
+        assert np.max(np.abs(got - _log_sine_scaled(xs, t))) <= abs_tol
+
+    @pytest.mark.parametrize("abs_tol", [1e-10, 1e-13])
+    @pytest.mark.parametrize("t", TIMES)
+    def test_sparse_cells(self, t, abs_tol):
+        # 25 points in three cells, each summed at its points, passed shuffled
+        xs = np.linspace(-12.0, 12.0, 25)
+        assert [_cell(xs[i:e])[2] is None for i, e in _cells(xs)] == [True] * 3
+        xs = np.random.default_rng(3).permutation(xs)
+        got = scaled_evolve_many(make_log_sine(), xs, t, QuadratureSpec(abs_tol=abs_tol))
+        assert np.max(np.abs(got - _log_sine_scaled(xs, t))) <= abs_tol
+
+    @pytest.mark.parametrize("abs_tol", [1e-10, 1e-13])
+    @pytest.mark.parametrize("t", TIMES)
+    def test_single_points(self, t, abs_tol):
+        spec = QuadratureSpec(abs_tol=abs_tol)
+        for x in (0.0, -0.4, 3.0, -11.5, 12.0):
+            got = scaled_evolve(make_log_sine(), x, t, spec)
+            assert abs(got - _log_sine_scaled(x, t)) <= abs_tol
 
 
 def _direct_sum(y, z, c):
