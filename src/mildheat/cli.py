@@ -23,13 +23,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment config")
     run.add_argument("config")
-    run.add_argument("--out-dir", default=None)
-    run.add_argument("--tol", type=float, default=None)
+    run.add_argument("--out-dir", default=".")
 
     run_all = sub.add_parser("run-all", help="run every *.cfg in a directory")
     run_all.add_argument("config_dir")
-    run_all.add_argument("--out-dir", default=None)
-    run_all.add_argument("--tol", type=float, default=None)
+    run_all.add_argument("--out-dir", default=".")
 
     oracle = sub.add_parser(
         "oracle", help="evaluate a dense-trapezoid reference integral"
@@ -39,14 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run_one(path: str, out_dir: str | None, tol: float | None) -> int:
+def _run_one(path: str, out_dir: str) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = experiments.parse_config(fh.read())
-        if tol is not None and "abs_tol" in experiments._reads(cfg.kind):
-            cfg = replace(cfg, params={**cfg.params, "abs_tol": tol})
-        if out_dir is not None:
-            cfg = replace(cfg, out_dir=out_dir)
+            cfg = replace(experiments.parse_config(fh.read()), out_dir=out_dir)
     except OSError as exc:
         print(f"config-error: {exc}")
         return 2
@@ -71,7 +65,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.verb == "run":
-        return _run_one(args.config, args.out_dir, args.tol)
+        return _run_one(args.config, args.out_dir)
 
     if args.verb == "run-all":
         try:
@@ -86,12 +80,8 @@ def main(argv=None) -> int:
             return 2
         worst = 0
         for name in names:
-            path = os.path.join(args.config_dir, name)
-            out_dir = args.out_dir
-            if out_dir is not None:
-                out_dir = os.path.join(out_dir, os.path.splitext(name)[0])
-            code = _run_one(path, out_dir, args.tol)
-            worst = max(worst, code)
+            out_dir = os.path.join(args.out_dir, os.path.splitext(name)[0])
+            worst = max(worst, _run_one(os.path.join(args.config_dir, name), out_dir))
         return worst
 
     try:  # "oracle", the last of the verbs argparse allows

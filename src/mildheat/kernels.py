@@ -33,15 +33,28 @@ _TAIL_PART = 1.0 / 16.0
 
 
 def _positive(what: str, v: float) -> float:
-    """v if it is positive and finite; ValueError naming what otherwise."""
-    if not 0 < v < math.inf:
+    """v if it is a positive and finite real scalar; ValueError naming what otherwise.
+
+    A Python or numpy real and a 0-d array are scalars.  An array with
+    dimensions fails the ndim test, and a string, a Python complex or None
+    the comparison's TypeError.
+    """
+    try:
+        ok = getattr(v, "ndim", 0) == 0 and 0 < v < math.inf
+    except TypeError:
+        ok = False
+    if not ok:
         raise ValueError(f"{what} must be positive and finite, got {v}")
     return v
 
 
 def _finite(what: str, v: float) -> float:
-    """v if it is finite; ValueError naming what otherwise."""
-    if not math.isfinite(v):
+    """v if it is a finite real scalar, as for _positive; ValueError naming what otherwise."""
+    try:
+        ok = getattr(v, "ndim", 0) == 0 and math.isfinite(v)
+    except TypeError:
+        ok = False
+    if not ok:
         raise ValueError(f"{what} must be finite, got {v}")
     return v
 
@@ -143,8 +156,8 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
             i = int(np.argmax(rest))
             raise UncertifiedQuadrature(
                 f"adaptive Simpson stopped at level {level} with "
-                f"{n_open} open panels; on [{X[0, i]!r}, "
-                f"{X[4, i]!r}] the estimate {abs(delta[i]) / 15.0:.3g} is "
+                f"{n_open} open panels; on [{float(X[0, i])!r}, "
+                f"{float(X[4, i])!r}] the estimate {abs(delta[i]) / 15.0:.3g} is "
                 f"above the share {share:.3g}"
             )
         # the halves (x0, lm, x1) and (x1, rm, x2) of each open panel go on,

@@ -289,24 +289,34 @@ class TestRun:
         assert len(printed.splitlines()) == 1
         assert not out.exists()
 
-    @staticmethod
-    def _params_after_tol(tmp_path, monkeypatch, text):
+    def test_abs_tol_is_set_in_the_config(self, tmp_path, monkeypatch):
+        # the config is the one place a run's values come from: abs_tol
+        # reaches experiments.run as the config file gives it
         seen = []
         real_run = experiments.run
         monkeypatch.setattr(experiments, "run", lambda cfg: seen.append(cfg) or real_run(cfg))
         cfg = tmp_path / "tol.cfg"
-        cfg.write_text(text)
-        out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out-dir", str(out), "--tol", "1e-8"]) == 0
-        return seen[0].params
+        cfg.write_text("kind = sliding-average\ndatum = constant:1\nR_ladder = 1,10\n"
+                       "abs_tol = 1e-8\n")
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+        assert seen[0].params == {"R_ladder": (1.0, 10.0), "abs_tol": 1e-8}
 
-    def test_tol_override(self, tmp_path, monkeypatch):
-        text = "kind = sliding-average\ndatum = constant:1\nR_ladder = 1,10\n"
-        params = self._params_after_tol(tmp_path, monkeypatch, text)
-        assert params == {"R_ladder": (1.0, 10.0), "abs_tol": 1e-8}
+    @pytest.mark.parametrize("verb, arg", [("run", "no.cfg"), ("run-all", "no_configs")])
+    def test_tol_is_not_an_option(self, tmp_path, monkeypatch, capsys, verb, arg):
+        # abs_tol is a config key; argparse exits with its usage-error code 2
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([verb, arg, "--tol", "1e-8"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
-    def test_tol_is_ignored_where_the_kind_does_not_read_it(self, tmp_path, monkeypatch):
-        assert self._params_after_tol(tmp_path, monkeypatch, DILATION_CFG) == {}
+    def test_default_out_dir_is_the_working_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "dilation.cfg").write_text(DILATION_CFG)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "dilation.cfg"]) == 0
+        assert sorted(os.listdir(tmp_path)) == [
+            "dilation-bound_log_sine.csv", "dilation-bound_log_sine_summary.json", "dilation.cfg"
+        ]
 
 
 class TestRunAll:
@@ -319,6 +329,23 @@ class TestRunAll:
         assert main(["run-all", str(tmp_path), "--out-dir", str(out)]) == 0
         assert (out / "a" / "dilation-bound_log_sine.csv").exists()
         assert (out / "b" / "sliding-average_constant_0p5.csv").exists()
+
+    def test_each_config_writes_its_own_directory_by_default(self, tmp_path, monkeypatch):
+        # two configs of one kind and datum: without --out-dir each still
+        # writes under its own stem, so neither overwrites the other
+        configs = tmp_path / "twins"
+        configs.mkdir()
+        for name, ladder in (("a", "10, 100"), ("b", "1000, 10000")):
+            (configs / f"{name}.cfg").write_text(
+                f"kind = sliding-average\ndatum = log_sine\nR_ladder = {ladder}\n")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["run-all", str(configs)]) == 0
+        assert sorted(os.listdir(work)) == ["a", "b"]
+        assert len(os.listdir(work / "a")) == len(os.listdir(work / "b")) == 3
+        csv = "sliding-average_log_sine.csv"
+        assert (work / "a" / csv).read_text() != (work / "b" / csv).read_text()
 
     def test_worst_exit_code_wins(self, tmp_path, capsys):
         (tmp_path / "a.cfg").write_text(DILATION_CFG)

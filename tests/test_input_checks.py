@@ -1,6 +1,6 @@
 """Every public function refuses an argument it cannot use, naming it, before
-it reads the datum or starts a quadrature or march: scalars, point arrays and
-node counts."""
+it reads the datum or starts a quadrature or march: scalars (an array passed
+for one too), point arrays and node counts."""
 
 import dataclasses
 import math
@@ -175,6 +175,39 @@ def test_oracle_end_weights_need_five_panels(oracle, arg):
     with pytest.raises(ValueError, match="panels must be at least 5, got 4"):
         oracle(arg, panels=4)
     assert math.isfinite(oracle(arg, panels=5))
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("z", lambda: kernel_G(np.array([0.5, 1.0]))),
+        ("x", lambda: sliding_average(U, np.array([0.0, 1.0]), 1.0)),
+        ("x", lambda: log_kernel_bound(U, np.array([0.0, 1.0]), 1.0)),
+        ("t", lambda: scaled_evolve_many(U, [0.0], np.array([1.0, 2.0]))),
+        ("t", lambda: heat_kernel(0.0, np.array([1.0, 2.0]))),
+        ("abs_tol", lambda: QuadratureSpec(abs_tol=np.array([1e-10, 1e-9]))),
+    ],
+    ids=["kernel_G", "sliding_average", "log_kernel_bound", "scaled_evolve_many",
+         "heat_kernel", "QuadratureSpec"],
+)
+def test_array_for_a_scalar_is_refused(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        call()
+
+
+@pytest.mark.parametrize("x", [0.5, np.float64(0.5), np.array(0.5)],
+                         ids=["float", "numpy-scalar", "0-d-array"])
+def test_real_scalars_pass(x):
+    with pytest.raises(AssertionError, match="datum was read"):
+        sliding_average(U, x, 1.0)
+    assert heat_kernel(0.0, x) == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi * 0.5)), rel=1e-15)
+
+
+@pytest.mark.parametrize("bound", [{"sup_left": math.inf}, {"sup_right": math.nan}],
+                         ids=["sup_left-inf", "sup_right-nan"])
+def test_log_kernel_bound_needs_finite_slope_bounds(bound):
+    with pytest.raises(ValueError, match="lacks finite one-sided slope bounds"):
+        log_kernel_bound(dataclasses.replace(U, **bound), 0.5, 1.0)
 
 
 @pytest.mark.parametrize(

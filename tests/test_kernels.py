@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,10 +160,14 @@ class TestAdaptiveSimpson:
 
     def test_open_panel_cap_raises(self, monkeypatch):
         # every panel misses an unreachable share: the sweep stops loudly at
-        # the panel cap instead of doubling its arrays up to level 48
+        # the panel cap instead of doubling its arrays up to level 48; the
+        # message gives the panel's ends as plain floats, not np.float64(...)
         monkeypatch.setattr(kernels, "_MAX_PANELS", 1 << 10)
-        with pytest.raises(UncertifiedQuadrature, match="open panels"):
+        with pytest.raises(UncertifiedQuadrature, match="open panels") as exc:
             adaptive_simpson(np.sin, 0.0, 2.0, 1e-300)
+        assert "np.float64" not in str(exc.value)
+        ends = re.search(r"on \[(.*), (.*)\] the estimate", str(exc.value)).groups()
+        assert all(0.0 <= float(end) <= 2.0 for end in ends)
 
 
 class TestQuadratureSpec:
