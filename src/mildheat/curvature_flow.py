@@ -66,7 +66,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .initial_data import DecayClass, InitialDatum
-from .kernels import DEFAULT_SPEC, QuadratureSpec, _count, _positive
+from .kernels import DEFAULT_SPEC, QuadratureSpec, _count, _holdable, _positive
 from .profile_bounds import two_sided_profile
 from .semigroup import GridFunction, evolve_on_grid
 
@@ -104,6 +104,8 @@ class FDSolverConfig:
         times = [_positive("record time", t) for t in self.record_times]
         if not times or times != sorted(times) or times[-1] > self.t_final:
             raise ValueError("record_times must be non-empty, increasing, up to horizon t_final")
+        _holdable(f"half_width {self.half_width:g} and dx {self.dx:g}",
+                  2.0 * self.half_width / self.dx + 1.0)
         if self._node_count() < 3:
             raise ValueError(
                 f"half_width {self.half_width:g} and dx {self.dx:g} give fewer "

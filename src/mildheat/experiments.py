@@ -27,7 +27,7 @@ import numpy as np
 
 from . import curvature_flow, initial_data, profile_bounds, semigroup
 from .curvature_flow import FDSolverConfig, SolverFailure
-from .kernels import QuadratureSpec, UncertifiedQuadrature
+from .kernels import QuadratureSpec, UncertifiedQuadrature, _count
 
 # keys whose values must be positive (s_values: nonzero), and ladders that must increase
 _POSITIVE = ("L", "t_ladder", "lambda_ladder", "R_ladder", "h_ladder", "alphas")
@@ -158,8 +158,9 @@ def _make_dirs(directory: str, made: list[str]) -> None:
 
 
 def _csv(header: str, rows) -> str:
+    fmt = ",".join(["%.12e"] * (header.count(",") + 1))
     lines = [header]
-    lines.extend(",".join(f"{v:.12e}" for v in row) for row in rows)
+    lines.extend(fmt % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -273,6 +274,7 @@ def _run_exact_step(u0, *, t_ladder=(0.1, 1.0, 10.0, 1e6), L=4.0, n=401,
     spec = QuadratureSpec(abs_tol=abs_tol)
     rows = []
     worst = 0.0
+    _count("n", n, 3)
     xs = np.linspace(-L, L, n)
     for t in t_ladder:
         nums = semigroup.scaled_evolve_many(u0, xs, t, spec)
@@ -386,6 +388,7 @@ def _run_accumulation(u0, *,
     pairs = profile_bounds.accumulation_samples(u0, lambda_ladder)
     rows = [(lam, a, b) for lam, (a, b) in zip(lambda_ladder, pairs)]
     fit_rows = []
+    _count("n", n, 3)
     xs = np.linspace(-L, L, n)
     for t in t_ladder:
         vals = semigroup.scaled_evolve_many(u0, xs, t, spec)

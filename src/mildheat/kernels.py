@@ -1,19 +1,23 @@
 """Special functions: Gaussian heat kernel, similarity profile, log-smoothing
 kernel, and the shifted-Gaussian envelope, all with certified quadrature.
 
-The scalar integrals of the package go through :func:`adaptive_simpson`:
-local bisection with a Richardson error estimate, swept one level at a time
-over integrands that map arrays of nodes to arrays of values, so evaluation
-error is bounded by an explicit absolute tolerance.  Each level keeps its
-open panels in one state array (x and f at both ends, the midpoint and the
-two quarter points), carries each half's Simpson value over as the next
-level's coarse value, and forms midpoints as 0.5 x0 + 0.5 x1, which cannot
-overflow; so a level costs a fixed, small number of numpy calls, whatever
-the number of panels.  The heat evolutions of
-:mod:`mildheat.semigroup` refine composite Simpson uniformly under the same
-certificate.  A quadrature that exhausts its budget before the estimate
-meets the tolerance raises :class:`UncertifiedQuadrature` rather than return
-an uncertified value.  All functions here are pure and thread-safe.
+Two refinement loops certify every integral of the package against an
+explicit absolute tolerance, each with a Richardson error estimate.
+:func:`_doubling_simpson` doubles composite Simpson uniformly: the heat
+evolutions of :mod:`mildheat.semigroup`, :func:`kernel_G` and
+:func:`profile_F_quad` use it, since their integrands vary on one fixed
+scale, so a level costs a few numpy calls over all its nodes at once.
+:func:`adaptive_simpson` bisects locally, for the half-line integrals of
+the envelope bound and the window averages, whose integrands have kinks or
+span many scales: swept one level at a time over integrands that map arrays
+of nodes to arrays of values, each level keeps its open panels in one state
+array (x and f at both ends, the midpoint and the two quarter points),
+carries each half's Simpson value over as the next level's coarse value,
+and forms midpoints as 0.5 x0 + 0.5 x1, which cannot overflow; so a level
+costs a fixed, small number of numpy calls, whatever the number of panels.
+A quadrature that exhausts its budget before the estimate meets the
+tolerance raises :class:`UncertifiedQuadrature` rather than return an
+uncertified value.  All functions here are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -30,17 +34,23 @@ _ERF = np.frompyfunc(math.erf, 1, 1)
 # the part of a budget a dropped tail takes (Gaussian mass past a window, an
 # s-tail): widening a cut by log 16 costs fewer nodes than shrinking shares
 _TAIL_PART = 1.0 / 16.0
+# the dtype the scalar checks read for a value that carries none (a Python
+# number, a string, None)
+_REAL = np.dtype(float)
 
 
 def _positive(what: str, v: float) -> float:
     """v if it is a positive and finite real scalar; ValueError naming what otherwise.
 
     A Python or numpy real and a 0-d array are scalars.  An array with
-    dimensions fails the ndim test, and a string, a Python complex or None
-    the comparison's TypeError.
+    dimensions fails the ndim test, a numpy complex scalar or 0-d array the
+    dtype test (numpy would order it by its real part, or warn and drop its
+    imaginary part), and a string, a Python complex or None the
+    comparison's TypeError.
     """
     try:
-        ok = getattr(v, "ndim", 0) == 0 and 0 < v < math.inf
+        ok = (getattr(v, "ndim", 0) == 0 and getattr(v, "dtype", _REAL).kind != "c"
+              and 0 < v < math.inf)
     except TypeError:
         ok = False
     if not ok:
@@ -51,7 +61,8 @@ def _positive(what: str, v: float) -> float:
 def _finite(what: str, v: float) -> float:
     """v if it is a finite real scalar, as for _positive; ValueError naming what otherwise."""
     try:
-        ok = getattr(v, "ndim", 0) == 0 and math.isfinite(v)
+        ok = (getattr(v, "ndim", 0) == 0 and getattr(v, "dtype", _REAL).kind != "c"
+              and math.isfinite(v))
     except TypeError:
         ok = False
     if not ok:
@@ -59,10 +70,23 @@ def _finite(what: str, v: float) -> float:
     return v
 
 
+def _holdable(what: str, count) -> None:
+    """ValueError naming what and count when numpy cannot hold count floats in one array.
+
+    count, an int or a float such as span/step + 1, is checked before any
+    array is made, so the error names the argument that sized the grid
+    rather than numpy's allocation.
+    """
+    if not count <= np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise ValueError(f"{what}: {count:.6g} grid nodes, more than one numpy array can hold")
+
+
 def _count(what: str, v: int, least: int) -> int:
-    """v if it is an int of at least least; ValueError naming what otherwise."""
+    """v if it is an int of at least least, and numpy can hold v floats; ValueError naming
+    what otherwise."""
     if not (isinstance(v, numbers.Integral) and v >= least):
         raise ValueError(f"{what} must be an int of at least {least}, got {v!r}")
+    _holdable(what, v)
     return v
 
 
@@ -169,6 +193,80 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
         share *= 0.5
 
 
+# the fewest panels of a doubling Simpson's first level, and the most panels
+# any of its levels may hold
+_FIRST_PANELS, _PANEL_CAP = 256, 1 << 17
+
+
+def _doubling_simpson(level_sum, length: float, least: int, tol: float, what):
+    """Composite Simpson over an interval of the given length, doubled until certified.
+
+    level_sum(step, k, weight) sums the integrand at the nodes offset step k
+    from the interval's start, weighted by weight: one row per node and one
+    column per sum, or one number, the weight of every node of a single
+    sum.  It returns the sums along its last axis, each a number or an
+    array of values at some points.  The panel count n doubles, each level
+    built from the trapezoid sum T and the midpoint sum M of the level
+    before: S_2m = (T_m + 2 M_m)/3 and T_2m = (T_m + M_m)/2, so a level
+    evaluates the integrand only at its new midpoints.  The first T has
+    m = max(_FIRST_PANELS/2, least) panels.  Returns
+    R = S_n + (S_n - S_{n/2})/15 once max |S_n - S_{n/2}| <= 15 tol (the
+    Richardson certificate).  R weighs the nodes by h/45 (14, 64, 24, 64, 14)
+    on each run of 4 panels: positive weights that sum to the length.
+
+    The first certificate compares S_2m with S_4m, so it needs T_m, M_m and
+    M_2m: nodes h i, h (i + 1/2) and (h/2)(i + 1/2), which are (h/4) k, for
+    k = 0..4m, bit for bit, as h/4 is exact.  They take one level_sum call
+    with one weight column per level, and S_2m is formed before the loop.
+    Each pass of the loop then advances (T, M, m, h) by one level, certifies
+    S_2m against the S_m of the pass before, checks the panel cap, and only
+    then sums the next level's midpoints.  No level holds more than
+    _PANEL_CAP panels: UncertifiedQuadrature is raised before any
+    evaluation if the first certificate would need more, and when the next
+    level would exceed the cap with the certificate unmet.  Its message
+    opens with what(), a description called only then, so a heat segment
+    does not format one for every call.
+    """
+    m = max(_FIRST_PANELS // 2, least)
+    if 4 * m > _PANEL_CAP:
+        raise UncertifiedQuadrature(
+            f"{what()} needs {4 * m} panels for its first certificate, above the cap {_PANEL_CAP}"
+        )
+    h = length / m
+    # the weights of T_m, M_m and M_2m at the nodes (h/4) k
+    levels = np.zeros((4 * m + 1, 3))
+    levels[::4, 0] = h
+    levels[[0, -1], 0] = 0.5 * h
+    levels[2::4, 1] = h
+    levels[1::2, 2] = 0.5 * h
+    trap, mid, nxt = level_sum(0.25 * h, np.arange(4 * m + 1), levels).T
+    prev = (trap + 2.0 * mid) / 3.0  # S_2m
+    while True:
+        trap, mid, m, h = 0.5 * (trap + mid), nxt, 2 * m, 0.5 * h
+        s = (trap + 2.0 * mid) / 3.0
+        delta = s - prev
+        err = float(np.max(np.abs(delta)))
+        if err <= 15.0 * tol:
+            return s + delta / 15.0
+        if 4 * m > _PANEL_CAP:
+            raise UncertifiedQuadrature(
+                f"{what()} reached {2 * m} panels with estimate {err / 15.0:.3g} above the "
+                f"share {tol:.3g}"
+            )
+        prev = s
+        nxt = level_sum(0.5 * h, np.arange(2 * m) + 0.5, 0.5 * h)[..., 0]
+
+
+def _uniform_simpson(f, a: float, b: float, tol: float, what) -> float:
+    """int_a^b f to tol by _doubling_simpson, from _FIRST_PANELS/2 panels.
+
+    f maps arrays of nodes to arrays of values; a failure message opens
+    with what()."""
+    return float(_doubling_simpson(
+        lambda step, k, weight: np.sum(f(a + step * k)[:, None] * weight, axis=0),
+        b - a, 0, tol, what))
+
+
 def heat_kernel(x, t: float):
     """Gaussian fundamental solution (1/(2 sqrt(pi t))) exp(-x^2/(4t)); x may
     be a scalar or an array."""
@@ -194,9 +292,8 @@ def profile_F_quad(z: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     w = gauss_window(spec.abs_tol, 1.0)
     if abs(z) >= w:
         return float(z > 0)
-    val = adaptive_simpson(
-        lambda y: np.exp(-0.25 * y * y), -w, z, (1.0 - _TAIL_PART) * spec.abs_tol * SQRT_PI
-    )
+    val = _uniform_simpson(lambda y: np.exp(-0.25 * y * y), -w, z,
+                           (1.0 - _TAIL_PART) * spec.abs_tol * SQRT_PI, lambda: "profile_F_quad")
     return val / (2.0 * SQRT_PI)
 
 
@@ -238,9 +335,11 @@ def kernel_G(z: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     # inf, and the weight e^{-inf} = 0 it gives is the exact limit; y = c + v
     # with c >= 1, where log(z + v) would reach log 0 far left
     with np.errstate(over="ignore"):
-        val = adaptive_simpson(lower, s_cut, 0.0, tol - drop[0])
-        val += adaptive_simpson(lambda v: np.exp(-0.25 * (d - v) ** 2) * np.log(c + v),
-                                max(1.0 - c, d - w), w, tol - drop[1])
+        val = _uniform_simpson(lower, s_cut, 0.0, tol - drop[0],
+                               lambda: f"kernel_G({z!r}) on y in (0, 1]")
+        val += _uniform_simpson(lambda v: np.exp(-0.25 * (d - v) ** 2) * np.log(c + v),
+                                max(1.0 - c, d - w), w, tol - drop[1],
+                                lambda: f"kernel_G({z!r}) on y >= 1")
     return val / (2.0 * SQRT_PI)
 
 

@@ -4,7 +4,7 @@ Everything here is the composite trapezoid rule with end corrections on
 dense uniform numpy grids (10^5 panels by default): the weights 3/8, 7/6 and
 23/24 at each end (Press et al., Numerical Recipes, eq. 4.1.14) make it
 O(h^4) where the plain rule is O(h^2), and it stays deliberately independent
-of the adaptive Simpson path it cross-checks.  Exposed on the CLI via the
+of the refining Simpson loops it cross-checks.  Exposed on the CLI via the
 `oracle` verb.
 """
 
@@ -38,7 +38,7 @@ def kernel_G_trapezoid(z: float, panels: int = 100_000) -> float:
     that its error grows (3e-13 at 3e4, 4e-12 at 1e5, 0.84 for 13.8 at 1e6),
     so z above 1e4 raises ValueError.
     """
-    if not math.isfinite(z) or z > 1e4:
+    if np.iscomplexobj(z) or not math.isfinite(z) or z > 1e4:
         raise ValueError(f"z must be finite and at most 1e4, got {z}")
     s = np.linspace(-40.0, 0.0, panels + 1)
     ys = np.exp(s)
@@ -53,7 +53,7 @@ def profile_F_trapezoid(z: float, panels: int = 100_000) -> float:
     """Cumulative Gaussian (variance 2) by dense trapezoid from -14: 0 at
     z <= -14 and 1 at z >= 14, each off by erfc(7) / 2 < 2e-23, so the panels
     never outgrow the Gaussian."""
-    if not math.isfinite(z):
+    if np.iscomplexobj(z) or not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
     if abs(z) >= 14.0:
         return 0.0 if z < 0 else 1.0
@@ -63,7 +63,7 @@ def profile_F_trapezoid(z: float, panels: int = 100_000) -> float:
 
 def heat_kernel_mass_trapezoid(t: float, panels: int = 100_000) -> float:
     """Integral of the heat kernel over |x| <= 14 sqrt(t)."""
-    if not (t > 0 and math.isfinite(t)):
+    if np.iscomplexobj(t) or not (t > 0 and math.isfinite(t)):
         raise ValueError(f"t must be positive and finite, got {t}")
     w = 14.0 * math.sqrt(t)
     x = np.linspace(-w, w, panels + 1)

@@ -123,7 +123,7 @@ def dilation_difference_bound(u0: InitialDatum, alpha: float, s: float) -> tuple
     inflated by 1% (catalog slope functionals vary slowly on the log scale).
     """
     _positive("alpha", alpha)
-    _positive("|s|", abs(s))  # the estimate is undefined at s = 0
+    _positive("|s|", abs(_finite("s", s)))  # the estimate is undefined at s = 0
     # the annulus and the factor must be finite and the annulus off 0 before
     # the datum is read; s alpha lies in the annulus
     r_lo = _positive("min(alpha, 1/alpha) |s|", min(alpha, 1.0 / alpha) * abs(s))

@@ -78,7 +78,9 @@ from .kernels import (
     SQRT_PI,
     QuadratureSpec,
     UncertifiedQuadrature,
+    _doubling_simpson,
     _finite,
+    _holdable,
     _positive,
     adaptive_simpson,
     gauss_window,
@@ -87,9 +89,6 @@ from .kernels import (
 _TINY = float(np.finfo(float).tiny)
 # points x nodes in one Gaussian block of the heat engine: bounds its memory
 _BLOCK = 1 << 14
-# the fewest panels of a heat segment's first Simpson level, and the most
-# panels any of its levels may hold
-_FIRST_PANELS, _PANEL_CAP = 256, 1 << 17
 # the heat engine cuts its sorted points into cells spanning at most _CELL
 # similarity units; a cell of more than 2 _TARGETS points is summed at
 # _TARGETS Chebyshev targets and interpolated when its advance interpolation
@@ -261,36 +260,24 @@ def _refined_halfline_segment(u0, y, centre, st, sign, kind, a, b, tol):
     """Certified int_a^b e^{-(y - (sign z - centre))^2/4} u0(sign st z) dz at y.
 
     y holds evaluation points in coordinates centred on centre.  kind "log"
-    integrates in s = log z over [a, b] instead.  Composite Simpson doubles
-    its panel count n, each level built from the trapezoid sum T and the
-    midpoint sum M of the level before: S_2m = (T_m + 2 M_m)/3 and
-    T_2m = (T_m + M_m)/2, so a level evaluates the datum and the Gaussian
-    only at its new midpoints.  The first T has _FIRST_PANELS/2 panels, or,
-    on a "lin" segment, enough that its nodes lie at most
-    h0 = 2 pi / sqrt(log(1/tol)) apart: at spacing h the trapezoid sum of
-    e^{-(x - z)^2/4} misses about 2 e^{-4 pi^2/h^2} of its mass, so no level
-    steps over a far point's Gaussian and certifies a sum that never saw it.
+    integrates in s = log z over [a, b] instead.  The composite Simpson
+    doubling of _doubling_simpson certifies the values at y to tol; its
+    first trapezoid level has _FIRST_PANELS/2 panels, or, on a "lin"
+    segment, enough that its nodes lie at most h0 = 2 pi / sqrt(log(1/tol))
+    apart: at spacing h the trapezoid sum of e^{-(x - z)^2/4} misses about
+    2 e^{-4 pi^2/h^2} of its mass, so no level steps over a far point's
+    Gaussian and certifies a sum that never saw it.
 
     A node z lies at sign z - centre: a "lin" node is placed by its offset
     from a, and sign a - centre is rounded once for every node, so a far
-    cell's Gaussian distances keep their digits.  Returns
-    R = S_n + (S_n - S_{n/2})/15 once max |S_n - S_{n/2}| <= 15 tol (the
-    Richardson certificate).  R weighs the nodes by h/45 (14, 64, 24, 64, 14)
-    on each run of 4 panels: positive weights that sum to b - a, so R is a
+    cell's Gaussian distances keep their digits.  The Richardson value
+    weighs the nodes positively, with weights summing to b - a, so it is a
     Gaussian sum whose weights' magnitudes sum to at most sup|u0| (b - a)
-    (a "log" segment lies at z <= 1).  No level holds more than _PANEL_CAP
-    panels: UncertifiedQuadrature is raised before any evaluation if the
-    first certificate would need more, and when the next level would
-    exceed the cap with the certificate unmet.
-
-    The first certificate compares S_2m with S_4m, so it needs T_m, M_m and
-    M_2m: nodes h i, h (i + 1/2) and (h/2)(i + 1/2), which are (h/4) k, for
-    k = 0..4m, bit for bit, as h/4 is exact.  They take one datum evaluation
-    and one _window_sum with one weight column per level, and S_2m is formed
-    before the loop.  Each pass of the loop then advances (T, M, m, h) by one
-    level, certifies S_2m against the S_m of the pass before, checks the
-    panel cap, and only then evaluates the next level's midpoints.  A "lin"
-    level's nodes are evenly spaced, so _window_sum sums them in blocks.
+    (a "log" segment lies at z <= 1).  A level's nodes take one datum
+    evaluation and one _window_sum, with one column per weight column; a
+    "lin" level's nodes are evenly spaced, so _window_sum sums them in
+    blocks.  UncertifiedQuadrature is raised as _doubling_simpson raises it,
+    naming the datum, the segment and its side.
     """
     def node_sum(step, k, weight):
         # the nodes lie at offsets step k from a, in s = log z for "log";
@@ -302,38 +289,11 @@ def _refined_halfline_segment(u0, y, centre, st, sign, kind, a, b, tol):
             return _window_sum(y, sign * z - centre, q * z[:, None])
         return _window_sum(y, sign * a - centre + sign * off, q, sign * step)
 
-    m = _FIRST_PANELS // 2
+    least = 0
     if kind == "lin" and tol < 1.0:
-        m = max(m, math.ceil((b - a) * math.sqrt(math.log(1.0 / tol)) / (2.0 * math.pi)))
-    if 4 * m > _PANEL_CAP:
-        raise UncertifiedQuadrature(
-            f"{u0.id}: {kind} segment [{a!r}, {b!r}] on side {sign:+g} needs "
-            f"{4 * m} panels for its first certificate, above the cap {_PANEL_CAP}"
-        )
-    h = (b - a) / m
-    # the weights of T_m, M_m and M_2m at the nodes (h/4) k
-    levels = np.zeros((4 * m + 1, 3))
-    levels[::4, 0] = h
-    levels[[0, -1], 0] = 0.5 * h
-    levels[2::4, 1] = h
-    levels[1::2, 2] = 0.5 * h
-    trap, mid, nxt = node_sum(0.25 * h, np.arange(4 * m + 1), levels).T
-    prev = (trap + 2.0 * mid) / 3.0  # S_2m
-    while True:
-        trap, mid, m, h = 0.5 * (trap + mid), nxt, 2 * m, 0.5 * h
-        s = (trap + 2.0 * mid) / 3.0
-        delta = s - prev
-        err = float(np.max(np.abs(delta)))
-        if err <= 15.0 * tol:
-            return s + delta / 15.0
-        if 4 * m > _PANEL_CAP:
-            raise UncertifiedQuadrature(
-                f"{u0.id}: {kind} segment [{a!r}, {b!r}] on side "
-                f"{sign:+g} reached {2 * m} panels with estimate "
-                f"{err / 15.0:.3g} above the share {tol:.3g}"
-            )
-        prev = s
-        nxt = node_sum(0.5 * h, np.arange(2 * m) + 0.5, 0.5 * h)[:, 0]
+        least = math.ceil((b - a) * math.sqrt(math.log(1.0 / tol)) / (2.0 * math.pi))
+    return _doubling_simpson(node_sum, b - a, least, tol,
+                             lambda: f"{u0.id}: {kind} segment [{a!r}, {b!r}] on side {sign:+g}")
 
 
 def _cells(x):
@@ -540,6 +500,7 @@ def rescaled_residual(
     _finite("tau", tau)
     if tau + h > math.log(np.finfo(float).max):
         raise ValueError(f"e^(tau + h) must be finite, got tau + h = {tau + h!r}")
+    _holdable(f"h = {h!r} over the window [-{x_window!r}, {x_window!r}]", 2.0 * x_window / h + 1.0)
     n = int(round(2.0 * x_window / h)) + 1
     if n < 3:
         raise ValueError("window too small for the given step: fewer than 3 nodes")

@@ -131,6 +131,32 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "kind, datum, line, named",
+        [
+            ("rescaled-check", "gaussian:1", "h_ladder = 1e-200", "h = 1e-200 over the window"),
+            # 8 / 5e-324 is infinite: no int node count to round to
+            ("rescaled-check", "gaussian:1", "h_ladder = 5e-324", "h = 5e-324 over the window"),
+            ("curvature-gap", "smooth_log_sine:1", "fd_dx = 1e-300",
+             "half_width 400 and dx 1e-300"),
+            ("flow-profile-error", "sub_log:0.5", "fd_dx = 5e-324", "half_width 120 and dx"),
+            ("profile-error", "sub_log:0.5", "n = 100000000000000000000", "n: 1e+20"),
+            ("exact-step", "step:0,1", "n = 100000000000000000000", "n: 1e+20"),
+        ],
+        ids=["rescaled-check-h", "rescaled-check-h-subnormal", "curvature-gap-dx",
+             "flow-profile-error-dx-subnormal", "profile-error-n", "exact-step-n"],
+    )
+    def test_grid_too_large_for_numpy_names_its_key(self, tmp_path, capsys, kind, datum, line,
+                                                    named):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"kind = {kind}\ndatum = {datum}\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"config-error: {named}")
+        assert "grid nodes, more than one numpy array can hold" in printed
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "kind, datum", [("profile-error", "constant:nan"), ("dilation-bound", "gaussian:nan")]
     )
     def test_non_finite_datum_parameter_is_a_config_error(self, tmp_path, capsys, kind, datum):

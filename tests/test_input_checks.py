@@ -100,9 +100,14 @@ CASES = [
     ("make_constant-c", "c", lambda v: make_constant(v), False),
     ("heat_kernel_mass_trapezoid-t", "t",
      lambda v: oracles.heat_kernel_mass_trapezoid(v, panels=10), True),
+    ("kernel_G_trapezoid-z", "z", lambda v: oracles.kernel_G_trapezoid(v, panels=10), False),
+    ("profile_F_trapezoid-z", "z", lambda v: oracles.profile_F_trapezoid(v, panels=10), False),
 ]
 
-VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": 0.0}
+# numpy orders a complex number by its real part and warns as it drops the
+# imaginary part, so 1+0j would pass for 1 if not refused as complex
+VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": 0.0,
+          "complex": np.complex128(1.0 + 0.0j), "complex-0-d": np.array(1.0 + 0.0j)}
 
 
 @pytest.mark.parametrize(

@@ -274,8 +274,50 @@ class TestProfileF:
         for z in (w - 0.1, w + 0.1, -w + 0.1, -w - 0.1):
             assert abs(profile_F_quad(z, spec) - 0.5 * math.erfc(-0.5 * z)) <= abs_tol
 
+    def test_quadrature_meets_a_tight_tolerance(self):
+        # one Gaussian on [-w, z], certified by uniform Simpson doubling
+        spec = QuadratureSpec(abs_tol=1e-13)
+        for z in np.linspace(-12.0, 12.0, 49):
+            assert abs(profile_F_quad(float(z), spec) - 0.5 * math.erfc(-0.5 * z)) <= 1e-13
+
+
+def _kernel_G_quadpack(z):
+    """kernel_G by QUADPACK: the |log y| singularity on (0, 1] is taken by the
+    algebraic-logarithmic weight, and [1, inf) is split at the peak max(1, z)
+    and cut 60 past it, where e^{-(z - y)^2/4} < e^{-900}."""
+    def g(y):
+        return math.exp(-0.25 * (z - y) ** 2)
+
+    low = integrate.quad(g, 0.0, 1.0, weight="alg-loga", wvar=(0.0, 0.0),
+                         epsabs=1e-15, epsrel=1e-15, limit=200)[0]
+    c = max(1.0, z)
+    high = sum(integrate.quad(lambda y: g(y) * math.log(y), a, b,
+                              epsabs=1e-15, epsrel=1e-15, limit=200)[0]
+               for a, b in ((1.0, c), (c, c + 60.0)))
+    return (high - low) / (2.0 * math.sqrt(math.pi))
+
 
 class TestKernelG:
+    # asked for 1e-15, QUADPACK warns that rounding stops it short: its
+    # result is then as close as rounding allows, far inside abs_tol
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("abs_tol", [1e-10, 1e-13])
+    def test_meets_its_tolerance_against_quadpack(self, abs_tol):
+        spec = QuadratureSpec(abs_tol=abs_tol)
+        for z in (-8.0, -5.78, -3.0, -1.05, -0.5, 0.0, 0.238, 0.5, 1.0, 2.0, 3.18, 5.0, 8.0,
+                  12.0, 20.0, 30.0):
+            assert abs(kernel_G(z, spec) - _kernel_G_quadpack(z)) <= abs_tol
+
+    @pytest.mark.parametrize("cap, says", [(256, "needs 512 panels for its first certificate"),
+                                           (1024, "reached 1024 panels")],
+                             ids=["first-certificate", "later-level"])
+    def test_panel_cap_raises_naming_kernel_G(self, monkeypatch, cap, says):
+        # at z = 0 the piece on (0, 1] needs 4096 panels at the default abs_tol
+        monkeypatch.setattr(kernels, "_PANEL_CAP", cap)
+        with pytest.raises(UncertifiedQuadrature,
+                           match=r"^kernel_G\(0\.0\) on y in \(0, 1\] " + says):
+            kernel_G(0.0)
+
     def test_value_at_origin(self):
         # frozen from the dense-trapezoid reference integrator
         assert kernel_G(0.0) == pytest.approx(4.048900836598592e-01, abs=1e-9)

@@ -17,7 +17,7 @@ from mildheat.initial_data import (
     make_step,
     make_sub_log,
 )
-from mildheat import semigroup
+from mildheat import kernels, semigroup
 from mildheat.kernels import (
     DEFAULT_SPEC,
     QuadratureSpec,
@@ -421,7 +421,7 @@ class TestOneSidedLimits:
     def test_node_cap_raises(self, monkeypatch):
         # sub_log at t = 1e8 needs far more than 512 panels next to its kink;
         # the points, centred on 0, are summed directly
-        monkeypatch.setattr(semigroup, "_PANEL_CAP", 512)
+        monkeypatch.setattr(kernels, "_PANEL_CAP", 512)
         xs = np.linspace(-4.0, 4.0, 41)
         with pytest.raises(UncertifiedQuadrature, match="512 panels"):
             _refined_halfline_segment(
@@ -727,7 +727,7 @@ class TestFirstCertificate:
         _refined_halfline_segment(u, np.linspace(-4.0, 4.0, 48), 0.5, st, sign,
                                   kind, a, b, 1e-10)
         m = (len(evals[0]) - 1) // 4
-        assert len(evals[0]) == 4 * m + 1 and m >= semigroup._FIRST_PANELS // 2
+        assert len(evals[0]) == 4 * m + 1 and m >= kernels._FIRST_PANELS // 2
         h = (b - a) / m
         offsets = [h * np.arange(m + 1), h * (np.arange(m) + 0.5),
                    0.5 * h * (np.arange(2 * m) + 0.5)]
