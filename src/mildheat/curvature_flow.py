@@ -5,34 +5,33 @@ Both use second-order centered differences and homogeneous Neumann walls at
 +-X through mirror ghost nodes.  Observation points stay inside a
 domain-of-influence buffer of 8 sqrt(T) so wall effects are below tolerance.
 
-The curvature flow is marched by one stepper (_stepper) along one schedule
-(_schedule), which alone decides every range check and every record: the
-march takes each run of the schedule, checks the range, and takes a snapshot
-when the run ends at a record time.  A step of length tau in s stages starts
-with one pass of the stencil, F = D / (1/r + S^2 / (4 dx^2 r)) inside, from
-the forward differences g of u with D = g[1:] - g[:-1], S = g[1:] + g[:-1]
-and r = w1 tau / dx^2, and +-2 r g at the mirror walls.  With s = 1 it is the
-explicit Euler step u += F.  With s >= 2 it is a second-order
-Runge-Kutta-Legendre (RKL2) super-step (Meyer, Balsara & Aslam, J. Comput.
-Phys. 257, 2014), a Chebyshev-type stabilised method in the line of RKC
-(Verwer, Hundsdorfer & Sommeijer, Numer. Math. 57, 1990), whose stages are
-passes of the same stencil.  The buffers are made once per march.
+With mirror walls the heat stencil Delta_h u = (u_{i-1} - 2 u_i + u_{i+1}) /
+dx^2 is periodic on the even extension of u of length M = 2(n - 1), so it is
+diagonal in the type-I cosine basis (Strang, SIAM Review 41, 1999): mode k
+has the eigenvalue mu_k = -4 sin^2(pi k / M) / dx^2.  One real FFT of the
+extension gives the modes (_cosine) and one inverse FFT the values
+(_cosine_inverse); both solvers use this one pair.
 
-Up to t = 320 dx^2 the schedule cuts each record interval into the fewest
-equal explicit steps of at most dt = 0.4 dx^2 (FDSolverConfig.cfl, a
-constant; _steps).  The diffusion coefficient is at most 1 and 0.4 <= 1/2, so
-every such step is a convex combination of neighbours (Courant, Friedrichs &
-Lewy 1928) and a discrete maximum principle holds.  The range of the initial
-data is checked at every _CHECK_EVERY = 64-th explicit step counted from
-t = 0, at the switch and at each record time, so an instability raises
-SolverFailure near the step where it starts, not at the next record time.
-After 320 dx^2 an explicit step costs more than it must, and the schedule
-gives one super-step at a time: at time t it is at most 0.02 t long, and its
-s stages cover about s^2 / 4 explicit steps (_stages), so reaching t takes
-about 45 sqrt(t) / dx stages instead of 2.5 t / dx^2 steps.  The stages have
-negative coefficients, so no discrete maximum principle is proved for them:
-the range is checked after every super-step.  The switch time is where a super-step first replaces 16
-explicit steps; every snapshot up to it is the explicit scheme's.
+The curvature flow's stencil is the heat stencil plus a nonlinear term,
+L_h u = Delta_h u + N(u), with N = -D S^2 / (dx^2 (4 dx^2 + S^2)) from
+D = u_{i-1} - 2 u_i + u_{i+1} and S = u_{i+1} - u_{i-1} (_nonlinear_modes);
+N is 0 at the mirror walls.  The march takes second-order exponential
+time-differencing steps (ETDRK2; Cox & Matthews, J. Comput. Phys. 176, 2002)
+on the cosine basis, exact in the heat part: mode by mode,
+    a = e^{h mu} v + h phi1(h mu) N(v),
+    v' = a + h phi2(h mu) (N(a) - N(v)),
+with phi1(z) = (e^z - 1) / z and phi2(z) = (e^z - 1 - z) / z^2 (_phi; Kassam
+& Trefethen, SIAM J. Sci. Comput. 26, 2005), two forward and two inverse
+transforms a step.  The phi tables of the last two step lengths are kept,
+so steps of one length share theirs.  One schedule (_schedule) alone decides
+every step, range check and record: a step at time t is
+max(_FIRST_STEP dx^2, _GROWTH t) long, and a rest of a record interval
+shorter than two steps is one step, or two equal halves when it is longer
+than one, so the last step lands on the record time and no sliver is left.
+From t = 0 to 1e4 at dx = 0.1 that is 204 steps, where explicit steps of
+0.4 dx^2 would be 2.5e6.  No discrete maximum principle is proved for ETD
+steps, so the range of the initial data is checked after every step;
+leaving it raises SolverFailure naming the step, its t and its h.
 
 Even data are marched on half the grid.  When the grid has an odd number n of
 nodes and u0 is exactly even on it (_even_centre, the one place that decides),
@@ -40,26 +39,20 @@ only nodes c..n-1, c = n // 2, are marched: the centre node is a mirror wall
 with the same ghost-node rule as the walls at +-X, and each snapshot is the
 half mirrored.  The heat twin transforms the same half, and curvature_heat_gap
 takes its sup over the same nodes.  Every catalog datum the curvature flow
-accepts is even.  The full-grid march keeps even data even only up to
-rounding, because linspace nodes are not exactly antisymmetric; the half
-grid's snapshots agree with it to that rounding (within 6e-15).  Other data,
-and grids of even n, are marched whole (c = 0).
+accepts is even.  Other data, and grids of even n, are marched whole (c = 0).
 
-The heat twin stays the explicit scheme at every t, evaluated in closed form.
-With mirror walls the step u <- u + r D is periodic on the even extension of
-u of length M = 2(n - 1), so it is diagonal in the type-I cosine basis: mode k
-is multiplied by lambda_k = 1 - 4 r sin^2(pi k / M) per step, and a record
-interval of nsteps steps is one product by lambda_k^nsteps.  One real FFT of
-the extension gives the modes, and one inverse FFT per record time gives the
-snapshot; the values agree with the step-by-step march up to rounding.  At
-r <= 0.4 every |lambda_k| <= 1, so the range is checked at the record times.
-After 320 dx^2 the twin and the flow no longer share their time error, only
-their spatial one.
+The heat twin stays the explicit scheme at every t, evaluated in closed form:
+each record interval is cut into the fewest equal steps u <- u + dt Delta_h u
+of at most dt = 0.4 dx^2 (FDSolverConfig.cfl, a constant; _steps), and each
+step multiplies mode k by lambda_k = 1 + dt mu_k, so the interval is one
+product by lambda_k^nsteps between the transforms; the values agree with the
+step-by-step march up to rounding.  At dt <= 0.4 dx^2 every |lambda_k| <= 1,
+so the range is checked at the record times.  The twin and the flow share
+their spatial error, not their time error.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -71,16 +64,9 @@ from .profile_bounds import two_sided_profile
 from .semigroup import GridFunction, evolve_on_grid
 
 
-# explicit steps between range checks, counted from t = 0; the switch and
-# each record time are checked too
-_CHECK_EVERY = 64
-
-# an RKL2 super-step at time t is at most _ACCURACY * t long, and super-steps
-# start once one of them replaces at least _SWITCH_STEPS explicit steps, at
-# t = _SWITCH_STEPS * cfl dx^2 / _ACCURACY = 320 dx^2.  Super-steps of one
-# size fail: s = 40 stages from t = 0 give a gap of 1.9e-2 at t = 1.
-_ACCURACY = 0.02
-_SWITCH_STEPS = 16
+# the curvature flow's step at time t is max(_FIRST_STEP dx^2, _GROWTH t) long
+_FIRST_STEP = 6.4
+_GROWTH = 0.05
 
 
 class SolverFailure(RuntimeError):
@@ -94,7 +80,8 @@ class FDSolverConfig:
     t_final: float
     record_times: tuple[float, ...]
 
-    # every step is at most cfl * dx^2 long; a constant, not a field
+    # every step of the heat twin is at most cfl * dx^2 long; a constant, not
+    # a field.  The curvature flow's steps follow _schedule.
     cfl = 0.4
 
     def __post_init__(self) -> None:
@@ -106,6 +93,9 @@ class FDSolverConfig:
             raise ValueError("record_times must be non-empty, increasing, up to horizon t_final")
         _holdable(f"half_width {self.half_width:g} and dx {self.dx:g}",
                   2.0 * self.half_width / self.dx + 1.0)
+        # both solvers form dx^2 and 4 / dx^2; a step of 0 would never end
+        _positive("dx^2", self.dx * self.dx)
+        _positive("4 / dx^2", 4.0 / (self.dx * self.dx))
         if self._node_count() < 3:
             raise ValueError(
                 f"half_width {self.half_width:g} and dx {self.dx:g} give fewer "
@@ -125,12 +115,15 @@ class FDSolverConfig:
 
 
 def _start(u0: InitialDatum, cfg: FDSolverConfig):
-    """Grid, spacing, initial values u, the first marched node c and the range
-    [lo, hi] that u must keep.  The march and the heat twin work on u[c:]."""
+    """Grid, spacing, the first marched node c, the range [lo, hi] that the
+    solution must keep, and the marched values u[c:] as a constant base plus
+    the rest v.  The constant part is an exact fixed point of both solvers, so
+    only v goes through the transforms and constant data stay exact."""
     xs = cfg.nodes()
     u = np.array(u0.eval(xs), dtype=float)
     c = _even_centre(u0, xs)
-    return xs, xs[1] - xs[0], u, c, float(u.min()) - 1e-8, float(u.max()) + 1e-8
+    lo, hi = float(u.min()) - 1e-8, float(u.max()) + 1e-8
+    return xs, xs[1] - xs[0], c, lo, hi, u[0], u[c:] - u[0]
 
 
 def _even_centre(u0: InitialDatum, xs: np.ndarray) -> int:
@@ -152,6 +145,24 @@ def _snapshot(xs: np.ndarray, w: np.ndarray, c: int) -> GridFunction:
     return GridFunction(float(xs[0]), float(xs[-1]), len(xs), np.concatenate((w[c:0:-1], w)))
 
 
+def _cosine(v: np.ndarray) -> np.ndarray:
+    """The type-I cosine modes of v: one real FFT of its even extension about
+    both walls, whose transform is real up to rounding."""
+    return np.fft.rfft(np.concatenate((v, v[-2:0:-1]))).real
+
+
+def _cosine_inverse(modes: np.ndarray) -> np.ndarray:
+    """The values whose _cosine modes are modes."""
+    n = len(modes)
+    return np.fft.irfft(modes, 2 * (n - 1))[:n]
+
+
+def _sin2(n: int) -> np.ndarray:
+    """sin^2(pi k / M), M = 2(n - 1): the heat stencil multiplies mode k by
+    mu_k = -4 sin2_k / dx^2."""
+    return np.sin(np.pi / (2 * (n - 1)) * np.arange(n)) ** 2
+
+
 def _steps(t: float, end: float, dt_max: float) -> tuple[int, float]:
     """The fewest equal steps of at most dt_max from t to end: (nsteps, dt).
 
@@ -163,156 +174,95 @@ def _steps(t: float, end: float, dt_max: float) -> tuple[int, float]:
     return nsteps, (end - t) / nsteps
 
 
-def _stages(tau: float, dt_max: float) -> int:
-    """The fewest RKL2 stages s >= 2 with tau <= dt_max (s^2 + s - 2) / 4."""
-    return max(2, math.ceil((math.sqrt(9.0 + 16.0 * tau / dt_max) - 1.0) / 2.0))
+# phi2(z) = sum_k z^k / (k + 2)! for -1 < z <= 0, highest power first; the
+# first term left out is below 1/19! = 8.2e-18, 2.2e-17 of phi2 >= 1/e
+_PHI2_SERIES = np.array([1.0 / math.factorial(k + 2) for k in range(16, -1, -1)])
 
 
-def _schedule(record_times, dt_max: float):
-    """(tau, s, count, t, where, record) for each run of count equal steps of
-    length tau in s stages, from t = 0 through every record time.
+def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^z, phi1(z) = (e^z - 1) / z and phi2(z) = (e^z - 1 - z) / z^2 for z <= 0.
 
-    Each run ends at a range check at time t; where names its last step and
-    when the range is checked, and record tells whether t is a record time,
-    where the march takes a snapshot.  This is the one place that decides
-    both.  Up to the switch at _SWITCH_STEPS dt_max / _ACCURACY = 320 dx^2
-    each record interval is the fewest equal explicit steps (s = 1, _steps),
-    checked at every _CHECK_EVERY-th explicit step counted from t = 0, at the
-    switch and at each record time; a record time within rounding of the
-    switch is reached by them.  After it, each run is one RKL2 super-step,
-    checked after it: _ACCURACY * t long or ending at the record time, with a
-    rest shorter than two super-steps cut into two halves, so no sliver is
-    left.  A repeated record time is a run of no steps.
+    Near 0 the closed forms cancel: e^z - 1 - z is z^2 / 2 less the rounding
+    of its terms.  For -1 < z <= 0, phi2 is its Taylor series and
+    phi1 = 1 + z phi2; from z = -1 down, both are the closed forms through
+    expm1, where the cancellation costs at most a factor e.
     """
-    switch = _SWITCH_STEPS * dt_max / _ACCURACY
-    t, explicit, supers = 0.0, 0, 0
+    phi1, phi2 = np.empty_like(z), np.empty_like(z)
+    small = z > -1.0
+    zs, zb = z[small], z[~small]
+    series = np.vander(zs, len(_PHI2_SERIES)) @ _PHI2_SERIES
+    em1 = np.expm1(zb)
+    phi1[small], phi2[small] = 1.0 + zs * series, series
+    phi1[~small], phi2[~small] = em1 / zb, (em1 - zb) / zb / zb
+    return np.exp(z), phi1, phi2
+
+
+def _nonlinear_modes(n: int, dx: float):
+    """modes(v): the _cosine modes of -dx^2 N(v) on n nodes, where
+    N(v) = L_h v - Delta_h v is the curvature flow's stencil less the heat
+    stencil; N is 0 at the mirror walls.
+
+    Inside, with D = v_{i-1} - 2 v_i + v_{i+1} and S = v_{i+1} - v_{i-1},
+    L_h v = D / (dx^2 (1 + S^2 / (4 dx^2))), so -dx^2 N = D S^2 / (4 dx^2 + S^2);
+    the march folds the factor -1/dx^2 into its phi tables.  The buffer of
+    the values, 0 at the walls, is made once per march.
+    """
+    out = np.zeros(n)
+    inside, four_dx2 = out[1:-1], 4.0 * dx * dx
+
+    def modes(v: np.ndarray) -> np.ndarray:
+        g = v[1:] - v[:-1]
+        D = g[1:] - g[:-1]
+        S = g[1:] + g[:-1]
+        S *= S
+        D *= S
+        S += four_dx2
+        np.divide(D, S, out=inside)
+        return _cosine(out)
+
+    return modes
+
+
+def _schedule(record_times, dx: float):
+    """(h, t, where, record) for each ETD step of length h, from t = 0 through
+    every record time: the step ends at time t, where() names it, and record
+    tells whether t is a record time, where the march takes a snapshot.
+
+    This is the one place that decides the steps, the range checks and the
+    records.  A step at time t is max(_FIRST_STEP dx^2, _GROWTH t) long; a
+    rest of the record interval shorter than two such steps is one step, or
+    two equal ones when it is longer than one, so no sliver is left and the
+    last step ends on the record time.  The range is checked after every
+    step.  A repeated record time is a step of h = 0.  where is called only
+    when the range check fails, so a march that succeeds formats no text.
+    """
+    first = _FIRST_STEP * dx * dx
+    t, steps = 0.0, 0
     for target in record_times:
         if t == target:
-            yield dt_max, 1, 0, t, f"record time {t:g} repeated", True
-        end = target if target <= switch * (1.0 + 1e-12) else switch
-        if t < end:
-            count, dt = _steps(t, end, dt_max)
-            first, last = explicit, explicit + count
-            while explicit < last:
-                k = min(last, explicit - explicit % _CHECK_EVERY + _CHECK_EVERY)
-                yield (dt, 1, k - explicit, end if k == last else t + (k - first) * dt,
-                       f"explicit step {k} (range checked every {_CHECK_EVERY} steps, "
-                       f"at the switch and at each record time", k == last and end == target)
-                explicit = k
-            t = end
+            yield 0.0, t, lambda t=t: f"record time {t:g} repeated", True
         while t < target:
-            tau = min(_ACCURACY * t, target - t)
-            if tau < target - t < 2.0 * tau:
-                tau = 0.5 * (target - t)
-            t = target if tau == target - t else t + tau
-            supers += 1
-            s = _stages(tau, dt_max)
-            # RKL2 stages have negative coefficients, so no discrete maximum
-            # principle is proved for them
-            yield (tau, s, 1, t, f"super-step {supers} (s = {s} stages, tau = {tau:.6g}) "
-                   f"(range checked after every super-step", t == target)
+            h = max(first, _GROWTH * t)
+            rest = target - t
+            ends = (t + h,)
+            if rest < 2.0 * h:
+                h = rest if rest <= h else 0.5 * rest
+                ends = (target,) if h == rest else (t + h, target)
+            for t in ends:
+                steps += 1
+                yield (h, t, lambda k=steps, h=h:
+                       f"ETD step {k} (h = {h:.6g}; range checked after every step)",
+                       t == target)
 
 
-def _check_range(u, lo, hi, t, where, dx, cfl) -> None:
-    # where names the step and, after an open parenthesis, when the range is
-    # checked; written so that a NaN fails the test as well
+def _check_range(u, lo, hi, t, where, dx) -> None:
+    # where() names the step and when the range is checked; written so that
+    # a NaN fails the test as well
     if not (lo <= u.min() and u.max() <= hi):
         raise SolverFailure(
-            f"solution left [{lo:.6g}, {hi:.6g}] at t = {t:g}, {where}; "
-            f"range [{u.min():.6g}, {u.max():.6g}]); dx = {dx:g}, cfl = {cfl:g}"
+            f"solution left [{lo:.6g}, {hi:.6g}] at t = {t:g}, {where()}: "
+            f"range [{u.min():.6g}, {u.max():.6g}], dx = {dx:g}"
         )
-
-
-def _b(j: int) -> float:
-    """RKL2's b_j = (j^2 + j - 2) / (2 j (j + 1)), and b_0 = b_1 = b_2 = 1/3."""
-    return 1.0 / 3.0 if j < 2 else (j * j + j - 2) / (2.0 * j * (j + 1))
-
-
-@functools.lru_cache(maxsize=256)
-def _rkl2_table(s: int) -> tuple[tuple[float, float, float], ...]:
-    """(mu_j, nu_j, (b_{j-1} - 1) mu_j) for the stages j = 2..s of RKL2."""
-    rows = []
-    for j in range(2, s + 1):
-        mu = (2 * j - 1) / j * _b(j) / _b(j - 1)
-        rows.append((mu, -(j - 1) / j * _b(j) / _b(j - 2), (_b(j - 1) - 1.0) * mu))
-    return tuple(rows)
-
-
-def _stepper(u: np.ndarray, dx: float):
-    """step(tau, s, count): count steps of length tau in s stages on u, in place.
-
-    Each step starts from F = w1 tau L(u), one pass of the stencil with
-    r = w1 tau / dx^2.  s = 1 is the explicit Euler step u += F (w1 = 1).
-    s >= 2 is the RKL2 super-step of Meyer, Balsara & Aslam (2014) from
-    Y_0 = u, with w1 = 4 / (s^2 + s - 2):
-        Y_1 = Y_0 + b_1 F,
-        Y_j = mu_j (Y_{j-1} + w1 tau L(Y_{j-1}) - a_{j-1} F) + nu_j Y_{j-2}
-              + (1 - mu_j - nu_j) Y_0,
-    with a_j = 1 - b_j, mu_j = (2j - 1)/j b_j/b_{j-1} and
-    nu_j = -(j - 1)/j b_j/b_{j-2}, and u becomes Y_s.  Each stage is one
-    stencil pass with mu_j folded into r.  The stages carry Z_j = Y_j - Y_0,
-    which stays exactly 0 for constant data.  The work buffers and their
-    views are made here, once per march, and a run of count steps is one
-    call with one set of stencil coefficients.
-    """
-    n = len(u)
-    g, g0 = np.empty(n - 1), np.empty(n - 1)   # forward differences
-    S = np.empty(n - 2)                         # doubled centered differences
-    L, F = np.empty(n), np.empty(n)
-    u_right, u_left, g_right, g_left, L_inner = u[1:], u[:-1], g[1:], g[:-1], L[1:-1]
-    # (Z, Z[1:], Z[:-1]) for Z_{j-1} and Z_{j-2}
-    Zs = [(Z, Z[1:], Z[:-1]) for Z in (np.empty(n), np.empty(n))]
-    dx2 = dx * dx
-
-    def coefficients(r: float) -> tuple[float, float, float]:
-        inv_r = 1.0 / r
-        return inv_r, inv_r / (4.0 * dx2), 2.0 * r
-
-    def stencil(c: tuple[float, float, float]) -> None:
-        # L = r dx^2 u_xx / (1 + u_x^2) = D / (1/r + S^2 / (4 dx^2 r)) from
-        # the forward differences g; mirror ghost nodes give +-2 r g at the
-        # walls.  c = coefficients(r), computed once per run of steps
-        inv_r, slope, wall = c
-        np.subtract(g_right, g_left, out=L_inner)
-        np.add(g_right, g_left, out=S)
-        np.multiply(S, S, out=S)
-        np.multiply(S, slope, out=S)
-        np.add(S, inv_r, out=S)
-        np.divide(L_inner, S, out=L_inner)
-        L[0], L[-1] = wall * g[0], -wall * g[-1]
-
-    def stages(rho: float, s: int) -> np.ndarray:
-        # Z_s of a super-step from F = L and the differences g of Y_0 = u
-        np.copyto(g0, g)
-        np.copyto(F, L)
-        Z1, Z2 = Zs
-        np.multiply(F, _b(1), out=Z1[0])
-        Z2[0].fill(0.0)
-        for mu, nu, gam in _rkl2_table(s):
-            # the forward differences of Y_{j-1} = u + Z_{j-1}
-            np.subtract(Z1[1], Z1[2], out=g)
-            np.add(g, g0, out=g)
-            stencil(coefficients(mu * rho))
-            # Z_j = nu Z_{j-2} + mu rho L(Y_{j-1}) + mu Z_{j-1} + gam F, over Z_{j-2}
-            Zj = Z2[0]
-            np.multiply(Zj, nu, out=Zj)
-            np.add(Zj, L, out=Zj)
-            np.multiply(Z1[0], mu, out=L)
-            np.add(Zj, L, out=Zj)
-            np.multiply(F, gam, out=L)
-            np.add(Zj, L, out=Zj)
-            Z1, Z2 = Z2, Z1
-        return Z1[0]
-
-    def step(tau: float, s: int, count: int) -> None:
-        rho = (1.0 if s == 1 else 4.0 / (s * s + s - 2)) * tau / dx2
-        c = coefficients(rho)
-        for _ in range(count):
-            np.subtract(u_right, u_left, out=g)
-            stencil(c)
-            np.add(u, L if s == 1 else stages(rho, s), out=u)
-
-    return step
 
 
 def _march(u0: InitialDatum, cfg: FDSolverConfig) -> tuple[list[GridFunction], int]:
@@ -321,13 +271,33 @@ def _march(u0: InitialDatum, cfg: FDSolverConfig) -> tuple[list[GridFunction], i
         raise ValueError(
             f"curvature flow needs a twice-differentiable datum, got {u0.id}"
         )
-    xs, dx, u, c, lo, hi = _start(u0, cfg)
-    w = u[c:]  # even data: nodes c..n-1, with the centre as a mirror wall
-    step = _stepper(w, dx)
+    # even data: nodes c..n-1, with the centre as a mirror wall
+    xs, dx, c, lo, hi, base, v = _start(u0, cfg)
+    scale = -1.0 / (dx * dx)
+    mu = _sin2(len(v)) * (4.0 * scale)
+    nonlinear = _nonlinear_modes(len(v), dx)
+    modes = _cosine(v)
+    # (e^{h mu}, -h phi1(h mu) / dx^2, -h phi2(h mu) / dx^2) of the last two
+    # step lengths, so that a record time's landing steps and the steps
+    # around them do not recompute theirs
+    tables = {}
     snapshots = []
-    for tau, s, count, t, where, record in _schedule(cfg.record_times, cfg.cfl * dx * dx):
-        step(tau, s, count)
-        _check_range(w, lo, hi, t, where, dx, cfg.cfl)
+    for h, t, where, record in _schedule(cfg.record_times, dx):
+        if h:
+            table = tables.pop(h, None)
+            if table is None:
+                e, phi1, phi2 = _phi(h * mu)
+                table = e, (h * scale) * phi1, (h * scale) * phi2
+            tables[h] = table
+            if len(tables) > 2:
+                del tables[next(iter(tables))]
+            e, h_phi1, h_phi2 = table
+            n_v = nonlinear(v)
+            a = e * modes + h_phi1 * n_v
+            modes = a + h_phi2 * (nonlinear(_cosine_inverse(a)) - n_v)
+            v = _cosine_inverse(modes)
+        w = base + v
+        _check_range(w, lo, hi, t, where, dx)
         if record:
             snapshots.append(_snapshot(xs, w, c))
     return snapshots, c
@@ -355,34 +325,26 @@ def solve_cf(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
 
 
 def solve_heat_fd(u0: InitialDatum, cfg: FDSolverConfig) -> list[GridFunction]:
-    """Linear heat snapshots of the explicit scheme of solve_cf, in closed form.
+    """Linear heat snapshots of the explicit scheme, in closed form.
 
-    Same grid, steps and mirror walls as solve_cf with u_xx alone; each
-    record interval is one product by lambda_k^nsteps in the cosine basis.
+    Same grid and mirror walls as solve_cf; each record interval is the
+    fewest equal steps of at most cfl dx^2, one product by lambda_k^nsteps
+    in the cosine basis.
     """
-    xs, dx, u, c, lo, hi = _start(u0, cfg)
-    # the constant part is an exact fixed point of every step, so only the
-    # rest goes through the transform and constant data stays exact
-    base = u[0]
-    # even data: the half from the centre, whose extension is the full one's
-    v = u[c:] - base
-    n = len(v)
-    m = 2 * (n - 1)
-    # even extension about both walls; its transform is real up to rounding
-    modes = np.fft.rfft(np.concatenate((v, v[-2:0:-1]))).real
-    sin2 = np.sin(np.pi / m * np.arange(n)) ** 2
-
+    xs, dx, c, lo, hi, base, v = _start(u0, cfg)
+    modes = _cosine(v)
+    sin2 = _sin2(len(v))
     snapshots = []
     step = 0
     t = 0.0
     for target in cfg.record_times:
         nsteps, dt = _steps(t, target, cfg.cfl * dx * dx)
         r = dt / (dx * dx)
-        modes *= _eigen_powers(4.0 * r * sin2, nsteps)  # lambda_k = 1 - 4 r sin2_k
+        modes *= _eigen_powers(4.0 * r * sin2, nsteps)  # lambda_k = 1 + dt mu_k
         step += nsteps
-        snap = base + np.fft.irfft(modes, m)[:n]
-        _check_range(snap, lo, hi, target,
-                     f"explicit step {step} (range checked at each record time", dx, cfg.cfl)
+        snap = base + _cosine_inverse(modes)
+        _check_range(snap, lo, hi, target, lambda: f"explicit step {step} (dt = {dt:.6g}; "
+                     f"range checked at each record time)", dx)
         snapshots.append(_snapshot(xs, snap, c))
         t = target
     return snapshots

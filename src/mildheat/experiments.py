@@ -212,8 +212,9 @@ def _slug(datum_id: str) -> str:
 
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute one experiment; exit code 0 pass, 1 assertion failure,
-    2 configuration error, 3 solver failure (an FD instability or a
-    quadrature that could not certify its tolerance).
+    2 configuration error (a grid too large to allocate included), 3 solver
+    failure (an FD instability or a quadrature that could not certify its
+    tolerance).
 
     The handler of cfg.kind, called on the datum and cfg.params, returns
     (ok, scalars, tables, chart): tables maps a file-name suffix to the
@@ -228,7 +229,9 @@ def run(cfg: ExperimentConfig) -> RunResult:
     try:
         u0 = initial_data.from_id(cfg.datum_id)
         ok, scalars, tables, chart = _HANDLERS[cfg.kind](u0, **cfg.params)
-    except ValueError as exc:  # ConfigError included
+    # ConfigError included; a MemoryError is a grid that numpy can index but
+    # not allocate
+    except (ValueError, MemoryError) as exc:
         return RunResult(2, [], {}, f"config-error: {exc}")
     except (SolverFailure, UncertifiedQuadrature) as exc:
         return RunResult(3, [], {}, f"solver-failure: {exc}")

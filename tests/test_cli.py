@@ -157,6 +157,25 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "kind, datum, line",
+        [
+            # 1e17 and 2e13 floats: numpy can index them but not allocate them
+            ("profile-error", "sub_log:0.5", "n = 100000000000000000"),
+            ("curvature-gap", "smooth_log_sine:1", "fd_half_width = 1e12"),
+        ],
+        ids=["profile-error-n", "curvature-gap-half-width"],
+    )
+    def test_allocation_failure_is_a_config_error(self, tmp_path, capsys, kind, datum, line):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"kind = {kind}\ndatum = {datum}\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith("config-error: ") and printed.count("\n") == 1
+        assert "allocate" in printed
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "kind, datum", [("profile-error", "constant:nan"), ("dilation-bound", "gaussian:nan")]
     )
     def test_non_finite_datum_parameter_is_a_config_error(self, tmp_path, capsys, kind, datum):

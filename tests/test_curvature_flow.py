@@ -5,7 +5,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from numpy.polynomial import legendre
+import scipy.fft
+from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from mildheat import curvature_flow
@@ -77,10 +78,14 @@ class TestFDSolverConfig:
         dict(record_times=(0.5, math.nan)),
         dict(half_width=0.01, dx=0.1),  # one node
         dict(half_width=0.1, dx=0.15),  # two nodes
+        dict(half_width=1e-168, dx=1e-170),  # dx^2 underflows to 0
+        dict(half_width=1e160, dx=1e158),  # dx^2 overflows
+        dict(half_width=1e-152, dx=1e-154),  # dx^2 is subnormal, 4 / dx^2 overflows
     ],
     ids=["half_width-nan", "half_width-inf", "half_width-zero", "half_width-negative",
          "dx-nan", "dx-inf", "t_final-nan", "t_final-inf", "record-nan",
-         "record-late-nan", "one-node", "two-nodes"],
+         "record-late-nan", "one-node", "two-nodes", "dx-squared-underflows",
+         "dx-squared-overflows", "inverse-dx-squared-overflows"],
 )
 def test_config_rejects_non_finite_or_degenerate_grids(bad):
     with pytest.raises(ValueError):
@@ -90,7 +95,7 @@ def test_config_rejects_non_finite_or_degenerate_grids(bad):
 class TestSolvers:
     def test_constant_is_exact_for_both(self):
         u = make_constant(0.5)
-        # past 320 dx^2 = 3.2 the curvature flow takes RKL2 super-steps
+        # past 128 dx^2 = 1.28 the curvature flow's steps grow as 0.05 t
         for cfg in (_cfg(record_times=(0.3, 1.0)),
                     _cfg(half_width=40.0, t_final=100.0, record_times=(10.0, 100.0))):
             for solver in (solve_cf, solve_heat_fd):
@@ -128,7 +133,7 @@ class TestSolvers:
 
     def test_repeated_record_time_repeats_its_snapshot(self):
         # record times need only be non-decreasing; 1 is before the switch
-        # at 320 dx^2 = 3.2 and 5 after it
+        # to steps of 0.05 t at 128 dx^2 = 1.28 and 5 after it
         u = make_gaussian(1.0)
         once = solve_cf(u, _cfg(half_width=4.0, t_final=5.0, record_times=(1.0, 5.0)))
         twice = solve_cf(u, _cfg(half_width=4.0, t_final=5.0, record_times=(1.0, 1.0, 5.0, 5.0)))
@@ -158,8 +163,8 @@ def test_whole_step_counts_take_no_extra_step(half_width, t, nsteps):
     assert curvature_flow._steps(0.0, t, dt_max) == (nsteps, t / nsteps)
 
 
-def _reference_march(u0, cfg, nonlinear):
-    """Explicit Euler march that allocates a new array each step."""
+def _reference_march(u0, cfg):
+    """Explicit Euler heat march that allocates a new array each step."""
     xs = cfg.nodes()
     dx = xs[1] - xs[0]
     u = np.asarray(u0.eval(xs), dtype=float).copy()
@@ -170,12 +175,8 @@ def _reference_march(u0, cfg, nonlinear):
         nsteps = max(1, math.ceil((target - t) / dt_max * (1.0 - 1e-9)))
         dt = (target - t) / nsteps
         for _ in range(nsteps):
-            uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-            if nonlinear:
-                ux = (u[2:] - u[:-2]) / (2.0 * dx)
-                uxx = uxx / (1.0 + ux * ux)
             unew = u.copy()
-            unew[1:-1] += dt * uxx
+            unew[1:-1] += dt * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
             # mirror ghost nodes: zero-slope walls
             unew[0] += dt * 2.0 * (u[1] - u[0]) / (dx * dx)
             unew[-1] += dt * 2.0 * (u[-2] - u[-1]) / (dx * dx)
@@ -185,9 +186,79 @@ def _reference_march(u0, cfg, nonlinear):
     return out
 
 
+def _etd_steps(record_times, dx):
+    """The curvature flow's steps as (h, t), from the rule the march states.
+
+    A step at time t is max(6.4 dx^2, 0.05 t) long.  The rest of a record
+    interval, when shorter than two such steps, is one step if it is no
+    longer than one, and otherwise two equal halves; the last step of an
+    interval ends on its record time.
+    """
+    t = 0.0
+    for target in record_times:
+        while t < target:
+            h = max(6.4 * dx * dx, 0.05 * t)
+            rest = target - t
+            if rest <= h:
+                yield rest, target
+                t = target
+            elif rest < 2.0 * h:
+                yield rest / 2.0, t + rest / 2.0
+                yield rest / 2.0, target
+                t = target
+            else:
+                t += h
+                yield h, t
+
+
+def _phi_contour(z):
+    """phi1 and phi2 at each z as the means of their closed forms over 64
+    points of the circle of radius 1 about z (Kassam & Trefethen 2005), which
+    never come near the cancellation at 0."""
+    w = z[:, None] + np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    return (((np.exp(w) - 1.0) / w).mean(axis=1).real,
+            ((np.exp(w) - 1.0 - w) / (w * w)).mean(axis=1).real)
+
+
+def _flow_stencil(u, dx):
+    """u_xx / (1 + u_x^2) by centred differences, with mirror ghost nodes."""
+    g = np.concatenate(([u[1]], u, [u[-2]]))
+    ux = (g[2:] - g[:-2]) / (2.0 * dx)
+    uxx = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (dx * dx)
+    return uxx / (1.0 + ux * ux)
+
+
+def _reference_etd_march(u0, cfg):
+    """ETDRK2 on the whole grid, through scipy's type-I DCT, allocating as it
+    goes: a = e^{h mu} v + h phi1 N(v), v' = a + h phi2 (N(a) - N(v)), with
+    N the flow's stencil less the heat stencil and phi from _phi_contour."""
+    xs = cfg.nodes()
+    dx = xs[1] - xs[0]
+    n = len(xs)
+    mu = -4.0 * np.sin(np.pi * np.arange(n) / (2 * (n - 1))) ** 2 / (dx * dx)
+    u = np.asarray(u0.eval(xs), dtype=float).copy()
+
+    def nonlinear(v):
+        heat = np.concatenate(([2.0 * (v[1] - v[0])], v[2:] - 2.0 * v[1:-1] + v[:-2],
+                               [2.0 * (v[-2] - v[-1])])) / (dx * dx)
+        return scipy.fft.dct(_flow_stencil(v, dx) - heat, type=1)
+
+    out = []
+    for h, t in _etd_steps(cfg.record_times, dx):
+        phi1, phi2 = _phi_contour(h * mu)
+        n_u = nonlinear(u)
+        a = np.exp(h * mu) * scipy.fft.dct(u, type=1) + h * phi1 * n_u
+        u = scipy.fft.idct(a + h * phi2 * (nonlinear(scipy.fft.idct(a, type=1)) - n_u), type=1)
+        if t in cfg.record_times:
+            out.append(u.copy())
+    return out
+
+
 class TestInPlaceMarch:
-    # record times that are not multiples of dt_max = 0.4 * 0.1^2 = 0.004
-    CFG = dict(half_width=4.0, dx=0.1, t_final=0.5, record_times=(0.1371, 0.5))
+    # record times that are not multiples of a step: one step of
+    # 6.4 dx^2 = 0.064 and two halves of 0.0731 reach 0.1371, and the steps
+    # grow as 0.05 t from 128 dx^2 = 1.28 on
+    CFG = dict(half_width=4.0, dx=0.1, t_final=3.0, record_times=(0.1371, 3.0))
 
     @pytest.mark.parametrize(
         "solver, nonlinear, datum",
@@ -198,9 +269,12 @@ class TestInPlaceMarch:
         ],
     )
     def test_matches_allocating_reference(self, solver, nonlinear, datum):
+        # the heat twin against explicit Euler, the flow against ETDRK2 on the
+        # whole grid; the march takes the half grid, both data being even
         cfg = _cfg(**self.CFG)
+        assert _halves(datum, cfg)
         snaps = solver(datum, cfg)
-        refs = _reference_march(datum, cfg, nonlinear)
+        refs = (_reference_etd_march if nonlinear else _reference_march)(datum, cfg)
         assert len(snaps) == len(refs) == 2
         for snap, ref in zip(snaps, refs):
             assert np.max(np.abs(snap.values - ref)) <= 1e-13
@@ -213,6 +287,43 @@ class TestInPlaceMarch:
             early, late = solver(u, both)
             assert np.array_equal(early.values, solver(u, first)[0].values)
             assert not np.shares_memory(early.values, late.values)
+
+
+def _semi_discrete(u0, cfg):
+    """The mirror-wall semi-discrete flow u' = u_xx / (1 + u_x^2) at
+    cfg.record_times, by scipy's DOP853 at rtol 1e-10."""
+    xs = cfg.nodes()
+    dx = xs[1] - xs[0]
+    sol = solve_ivp(lambda t, u: _flow_stencil(u, dx), (0.0, cfg.t_final), u0.eval(xs),
+                    method="DOP853", rtol=1e-10, atol=1e-12, t_eval=cfg.record_times)
+    assert sol.success
+    return sol.y.T
+
+
+class TestTimeError:
+    # ETDRK2 is second order in time: its distance to the semi-discrete flow
+    # is at most C h^2 at the first step h = 6.4 dx^2 = 0.064, with C stated
+    # per datum (the steep Gaussian resolves its fast start least well), and
+    # halving every step divides that distance by about 4.  Measured on this
+    # grid: 6.5e-4, 2.1e-4, 1.3e-5 and 1.7e-6, 1.7e-6, 2.9e-7 at the three
+    # record times, divided by 3.0 to 3.4 and 3.3 to 3.6 by halving
+    CFG = dict(half_width=4.0, dx=0.1, t_final=3.0, record_times=(0.1371, 0.5, 3.0))
+
+    @pytest.mark.parametrize("datum, C", [(make_gaussian(0.2), 0.25),
+                                          (make_smooth_log_sine(1.0), 6e-4)],
+                             ids=["gaussian", "smooth_log_sine"])
+    def test_second_order_against_the_semi_discrete_flow(self, monkeypatch, datum, C):
+        cfg = _cfg(**self.CFG)
+        ref = _semi_discrete(datum, cfg)
+        errs = []
+        for scale in (1.0, 0.5):
+            monkeypatch.setattr(curvature_flow, "_FIRST_STEP", 6.4 * scale)
+            monkeypatch.setattr(curvature_flow, "_GROWTH", 0.05 * scale)
+            errs.append([float(np.max(np.abs(snap.values - want)))
+                         for snap, want in zip(solve_cf(datum, cfg), ref)])
+        assert max(errs[0]) <= C * 0.064 ** 2
+        for full, half in zip(*errs):
+            assert 2.8 <= full / half <= 4.5
 
 
 def _cosine_mode(cfg, k):
@@ -318,42 +429,13 @@ class TestHeatClosedForm:
         assert np.max(np.abs(snap.values - factor * mode.eval(xs))) <= 1e-13
 
 
-def _rkl2_factor(s, z):
-    """RKL2's stability polynomial R_s(z) = 1 - b_s + b_s P_s(1 + w1 z)."""
-    b = (s * s + s - 2) / (2.0 * s * (s + 1))
-    w1 = 4.0 / (s * s + s - 2)
-    return 1.0 - b + b * legendre.legval(1.0 + w1 * z, [0.0] * s + [1.0])
-
-
-def _schedule(t, target, dx):
-    """The march's steps from t to target, from the rules it states.
-
-    Explicit steps of at most 0.4 dx^2 (to a relative 1e-9) up to 320 dx^2,
-    as ("euler", dt, n); after that ("rkl2", tau, s) super-steps of 0.02 t,
-    or the rest of the interval, with a rest under two super-steps cut in
-    halves, and s the fewest stages with tau <= 0.4 dx^2 (s^2 + s - 2) / 4.
-    """
-    dt_max = 0.4 * dx * dx
-    end = min(target, 320.0 * dx * dx)
-    if t < end:
-        nsteps = math.ceil((end - t) / dt_max * (1.0 - 1e-9))
-        yield "euler", (end - t) / nsteps, nsteps
-        t = end
-    while t < target:
-        tau = min(0.02 * t, target - t)
-        if 0.02 * t < target - t < 0.04 * t:
-            tau = (target - t) / 2.0
-        s = 2
-        while tau > dt_max * (s * s + s - 2) / 4.0:
-            s += 1
-        yield "rkl2", tau, s
-        t = target if tau == target - t else t + tau
-
-
 class TestSuperStepClosedForm:
     # a cosine mode of amplitude EPS has slopes of order 1e-5, so the flow
-    # acts on it as the heat step up to 1e-10 of its size, and each RKL2
-    # super-step multiplies it by R_s(tau lambda_k)
+    # acts on it as the heat stencil up to 1e-10 of its size, and the linear
+    # semi-discrete flow multiplies it by e^{t mu_k} in closed form.  Every
+    # ETD step takes the heat part exactly, however long: the first steps are
+    # 6.4 dx^2, 16 explicit steps of 0.4 dx^2, and the rule switches to
+    # steps of 0.05 t at 128 dx^2 = 1.28
     EPS = 1e-6
 
     @staticmethod
@@ -365,47 +447,88 @@ class TestSuperStepClosedForm:
         dx = xs[1] - xs[0]
         lam = self._eigenvalue(len(xs), dx, k)
         datum = dataclasses.replace(mode, eval=lambda x: self.EPS * mode.eval(x))
-        factor, t, supers = 1.0, 0.0, 0
-        for target, snap in zip(cfg.record_times, solve_cf(datum, cfg)):
-            for kind, h, m in _schedule(t, target, dx):
-                if kind == "euler":
-                    factor *= (1.0 + h * lam) ** m
-                else:
-                    factor *= _rkl2_factor(m, h * lam)
-                    supers += 1
-            t = target
-            want = factor * self.EPS * mode.eval(xs)
+        for t, snap in zip(cfg.record_times, solve_cf(datum, cfg)):
+            want = math.exp(t * lam) * self.EPS * mode.eval(xs)
             assert np.max(np.abs(snap.values - want)) <= 1e-9 * self.EPS
-        assert supers > 40
+        steps = list(_etd_steps(cfg.record_times, dx))
+        assert steps[0][0] == pytest.approx(6.4 * dx * dx) and steps[-1][0] > 0.5
+        assert len(steps) > 40
 
     @pytest.mark.parametrize("k", [1, 2, 3, 80])
     def test_cosine_mode_through_the_switch(self, k):
-        # 320 dx^2 = 3.2: the first interval switches, the second super-steps
-        cfg = _cfg(half_width=4.0, t_final=12.0, record_times=(5.0, 12.0))
+        # the first record time is before the switch at 1.28, the others after
+        cfg = _cfg(half_width=4.0, t_final=12.0, record_times=(0.5, 5.0, 12.0))
         self._check_through_the_switch(cfg, _cosine_mode(cfg, k), k)
 
     @pytest.mark.parametrize("half_width, k", [(4.0, 2), (4.0, 4), (4.0, 80), (15.95, 2)])
     def test_even_mode_through_the_switch(self, half_width, k):
-        cfg = _cfg(half_width=half_width, t_final=12.0, record_times=(5.0, 12.0))
+        cfg = _cfg(half_width=half_width, t_final=12.0, record_times=(0.5, 5.0, 12.0))
         mode = _even_cosine_mode(cfg, k)
         assert _halves(mode, cfg) == (half_width == 4.0)
         self._check_through_the_switch(cfg, mode, k)
 
     @pytest.mark.parametrize("s", [1, 2, 8, 41])
     @pytest.mark.parametrize("k", [1, 20, 40, 79, 80])
-    def test_one_super_step_on_each_mode(self, k, s):
-        # the fastest modes are gone by 320 dx^2 in a march, so one step of
-        # the largest tau its s stages allow is checked alone; s = 1 is the
-        # explicit step, which multiplies the mode by 1 + tau lambda_k
+    def test_one_super_step_on_each_mode(self, monkeypatch, k, s):
+        # one step of tau = 0.4 dx^2 (s^2 + s - 2) / 4 (0.4 dx^2 for s = 1),
+        # from one explicit step's length to 430 of them (tau mu_k down to
+        # -688): the first step is made long enough to reach tau at once
         cfg = _cfg(half_width=4.0)
         xs = cfg.nodes()
         dx = xs[1] - xs[0]
         tau = 0.4 * dx * dx * (1.0 if s == 1 else (s * s + s - 2) / 4.0)
-        z = tau * self._eigenvalue(len(xs), dx, k)
-        u = self.EPS * _cosine_mode(cfg, k).eval(xs)
-        want = (1.0 + z if s == 1 else _rkl2_factor(s, z)) * u
-        curvature_flow._stepper(u, dx)(tau, s, 1)
-        assert np.max(np.abs(u - want)) <= 1e-9 * self.EPS
+        monkeypatch.setattr(curvature_flow, "_FIRST_STEP", 2.0 * tau / (dx * dx))
+        cfg = dataclasses.replace(cfg, t_final=tau, record_times=(tau,))
+        assert [t for _, t, _, _ in curvature_flow._schedule(cfg.record_times, dx)] == [tau]
+        mode = _cosine_mode(cfg, k)
+        datum = dataclasses.replace(mode, eval=lambda x: self.EPS * mode.eval(x))
+        want = math.exp(tau * self._eigenvalue(len(xs), dx, k)) * self.EPS * mode.eval(xs)
+        [snap] = solve_cf(datum, cfg)
+        assert np.max(np.abs(snap.values - want)) <= 1e-9 * self.EPS
+
+
+def _phi_taylor(z):
+    """phi1(z) and phi2(z) as Taylor series in 40-digit decimals, exact in z."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(float(z))
+        term, sums = Decimal(1), [Decimal(0), Decimal(0)]
+        for k in range(120):
+            # term = z^k / k!; phi1 = sum z^k / (k + 1)!, phi2 = sum z^k / (k + 2)!
+            sums[0] += term / (k + 1)
+            sums[1] += term / ((k + 1) * (k + 2))
+            term = term * x / (k + 1)
+        return float(sums[0]), float(sums[1])
+
+
+class TestPhi:
+    # phi1(z) = (e^z - 1) / z and phi2(z) = (e^z - 1 - z) / z^2 for z <= 0,
+    # within 1e-13 relative everywhere, across the switch at z = -1 between
+    # the series and the closed forms
+    SWITCH = [-1.0, math.nextafter(-1.0, 0.0), math.nextafter(-1.0, -2.0)]
+
+    def test_against_the_taylor_series(self):
+        zs = np.array([0.0, -5e-324, -1e-300, -1e-16, -1e-8, -1e-4, -0.01, -0.1, -0.5,
+                       -0.9, -0.999, -1.001, -1.5, -2.0, -3.0, -4.0, *self.SWITCH,
+                       *-np.linspace(0.0, 4.0, 101)])
+        e, phi1, phi2 = curvature_flow._phi(zs)
+        assert np.array_equal(e, np.exp(zs))
+        for z, p1, p2 in zip(zs, phi1, phi2):
+            w1, w2 = _phi_taylor(z)
+            assert abs(p1 - w1) <= 1e-13 * w1 and abs(p2 - w2) <= 1e-13 * w2
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="np.longdouble is no wider than a double here")
+    def test_against_long_double_closed_forms(self):
+        # from |z| = 0.01 on, the long double closed forms lose at most
+        # 2 eps / |z| = 2e-17 relative to their cancellation
+        zs = np.concatenate((-np.geomspace(0.01, 1e6, 2001), self.SWITCH))
+        _, phi1, phi2 = curvature_flow._phi(zs)
+        z = zs.astype(np.longdouble)
+        em1 = np.expm1(z)
+        w1, w2 = em1 / z, (em1 - z) / (z * z)
+        assert np.max(np.abs(phi1 - w1) / w1) <= 1e-13
+        assert np.max(np.abs(phi2 - w2) / w2) <= 1e-13
 
 
 class TestCurvatureHeatGap:
@@ -549,9 +672,8 @@ def test_buffer_is_checked_before_marching(monkeypatch, call):
 
 
 def test_range_is_checked_where_the_rules_say(monkeypatch):
-    # every 64th explicit step counted from t = 0, the end of each explicit
-    # run (the switch at 320 dx^2 = 3.2 and each record time before it) and
-    # after every super-step; the record times straddle the switch
+    # after every step, at the times the step rule gives (_etd_steps); the
+    # record times straddle the switch to steps of 0.05 t at 1.28
     real = curvature_flow._check_range
     checked = []
 
@@ -563,88 +685,97 @@ def test_range_is_checked_where_the_rules_say(monkeypatch):
     cfg = _cfg(half_width=4.0, t_final=12.0, record_times=(0.5, 5.0, 12.0))
     solve_cf(make_smooth_log_sine(1.0), cfg)
     dx = cfg.nodes()[1] - cfg.nodes()[0]
-    want, t, steps = [], 0.0, 0
-    for target in cfg.record_times:
-        for kind, h, m in _schedule(t, target, dx):
-            if kind == "euler":
-                want += [t + (k - steps) * h for k in range(steps + 1, steps + m)
-                         if k % 64 == 0]
-                want.append(t + m * h)
-                steps += m
-                t += m * h
-            else:
-                t += h
-                want.append(t)
-        t = target
-    assert steps == 800 and len(want) > 13 + 40
+    want = [t for _, t in _etd_steps(cfg.record_times, dx)]
+    assert len(want) > 40 and want[-1] == 12.0
     assert checked == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def _failure(info):
+    """(t, step number, h) that a SolverFailure message names."""
+    msg = str(info.value)
+    assert "range checked after every step" in msg
+    return (float(re.search(r"at t = (\S+),", msg).group(1)),
+            int(re.search(r"ETD step (\d+) ", msg).group(1)),
+            float(re.search(r"\(h = (\S+);", msg).group(1)))
+
+
+def _euler_factor(real_phi):
+    """_phi with e^z replaced by 1 + z, explicit Euler's factor, which grows
+    once z < -2: the step's heat part is then unstable."""
+    def phi(z):
+        _, phi1, phi2 = real_phi(z)
+        return 1.0 + z, phi1, phi2
+    return phi
+
+
 class TestSolverFailure:
-    def test_range_escape_is_reported(self):
-        # an unstable marching setup must raise, not return garbage
+    def _check_named_step(self, info, cfg):
+        # the message names a step of the rule: its number, its end time and its h
+        t, k, h = _failure(info)
+        dx = cfg.nodes()[1] - cfg.nodes()[0]
+        want_h, want_t = list(_etd_steps(cfg.record_times, dx))[k - 1]
+        assert t == float(f"{want_t:g}") and h == float(f"{want_h:.6g}")
+        return t, k
+
+    def test_range_escape_is_reported(self, monkeypatch):
+        # an unstable step must raise, not return garbage; the range is
+        # checked after every step, so the escape is reported well before the
+        # only record time, t = 1
+        monkeypatch.setattr(curvature_flow, "_phi", _euler_factor(curvature_flow._phi))
         cfg = _cfg()
-        object.__setattr__(cfg, "cfl", 0.9)  # steps past the CFL bound blow up
         with pytest.raises(SolverFailure) as info:
             solve_cf(make_gaussian(0.05), cfg)
-        # the range is checked every 64 steps, so the blow-up is reported
-        # well before the only record time, t = 1
-        msg = str(info.value)
-        t = float(re.search(r"at t = (\S+),", msg).group(1))
-        step = int(re.search(r"step (\d+) ", msg).group(1))
-        assert t < 1.0
-        assert step % 64 == 0
-        assert "every 64 steps" in msg
+        t, k = self._check_named_step(info, cfg)
+        assert t < 1.0 and k < 10
 
-    def test_range_escape_is_reported_on_the_full_grid(self):
+    def test_range_escape_is_reported_on_the_full_grid(self, monkeypatch):
         # a shifted Gaussian is not even, so the whole grid is marched
         g = make_gaussian(0.05)
         shifted = dataclasses.replace(g, eval=lambda x: g.eval(np.asarray(x) - 0.3))
         cfg = _cfg()
         assert not _halves(shifted, cfg)
-        object.__setattr__(cfg, "cfl", 0.9)
+        monkeypatch.setattr(curvature_flow, "_phi", _euler_factor(curvature_flow._phi))
         with pytest.raises(SolverFailure) as info:
             solve_cf(shifted, cfg)
-        msg = str(info.value)
-        assert float(re.search(r"at t = (\S+),", msg).group(1)) < 1.0
-        assert int(re.search(r"step (\d+) ", msg).group(1)) % 64 == 0
-        assert "every 64 steps" in msg
+        t, k = self._check_named_step(info, cfg)
+        assert t < 1.0 and k < 10
 
-    def test_range_escape_is_reported_at_a_record_time(self):
-        # at cfl = 0.54 the fastest mode grows by 1.16 a step and leaves the
-        # range near step 79, after the check at step 64; the record time
-        # 0.55 ends its interval at step ceil(0.55 / 0.0054) = 102, before
-        # the check at step 128, and its check reports the escape
-        cfg = _cfg(record_times=(0.55, 1.0))
-        object.__setattr__(cfg, "cfl", 0.54)
+    def test_range_escape_is_reported_at_a_record_time(self, monkeypatch):
+        # six steps of 0.064 and two halves of 0.058 reach the record time
+        # 0.5, and one step of 0.03 lands on 0.53; only that step's e^{h mu}
+        # is multiplied by 10, which lifts the peak (0.30 there) above the
+        # initial maximum 1, and the check after that step names 0.53
+        real = curvature_flow._phi
+        calls = []
+
+        def phi(z):
+            calls.append(z)
+            e, phi1, phi2 = real(z)
+            return (10.0 * e if len(calls) == 3 else e), phi1, phi2
+
+        monkeypatch.setattr(curvature_flow, "_phi", phi)
+        cfg = _cfg(record_times=(0.5, 0.53, 1.0))
         with pytest.raises(SolverFailure) as info:
             solve_cf(make_gaussian(0.05), cfg)
-        msg = str(info.value)
-        assert "at t = 0.55, explicit step 102 " in msg
-        assert "every 64 steps" in msg
+        assert self._check_named_step(info, cfg) == (0.53, 9)
+        assert "at t = 0.53, ETD step 9 (h = 0.03;" in str(info.value)
 
     def test_failing_super_step_is_reported(self, monkeypatch):
-        # two stages fewer than the rule asks for let the fast modes grow
-        # (one fewer is still stable: the rule keeps 0.4 dx^2 where
-        # 0.5 dx^2 is the limit); the range check after that super-step
-        # names it, past 320 dx^2 = 3.2 and well before t = 100
-        real = curvature_flow._stages
-        taken = []
+        # the steps of 0.05 t past 1.28 each make their own table; with
+        # explicit Euler's factor in those alone, rounding-sized fast modes
+        # grow by up to 4 h / dx^2 - 1 a step, and the check after the step
+        # where they leave the range names it, well before t = 100
+        real = curvature_flow._phi
+        first = []
 
-        def too_few(tau, dt_max):
-            taken.append((tau, real(tau, dt_max) - 2))
-            return taken[-1][1]
+        def phi(z):
+            first.append(z)
+            return real(z) if len(first) == 1 else _euler_factor(real)(z)
 
-        monkeypatch.setattr(curvature_flow, "_stages", too_few)
+        monkeypatch.setattr(curvature_flow, "_phi", phi)
         cfg = _cfg(t_final=100.0, record_times=(100.0,))
         with pytest.raises(SolverFailure) as info:
             solve_cf(make_smooth_log_sine(1.0), cfg)
-        msg = str(info.value)
-        t = float(re.search(r"at t = (\S+),", msg).group(1))
-        number = int(re.search(r"super-step (\d+) ", msg).group(1))
-        s = int(re.search(r"s = (\d+) stages", msg).group(1))
-        tau = float(re.search(r"tau = (\S+)\)", msg).group(1))
-        assert 3.2 < t < 10.0
-        assert "after every super-step" in msg
-        assert number == len(taken)
-        assert (s, tau) == (taken[-1][1], float(f"{taken[-1][0]:.6g}"))
+        t, k = self._check_named_step(info, cfg)
+        dx = cfg.nodes()[1] - cfg.nodes()[0]
+        assert 1.28 < t < 10.0 and list(_etd_steps(cfg.record_times, dx))[k - 1][0] > 0.064
